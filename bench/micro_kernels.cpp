@@ -1,10 +1,11 @@
 // Microbenchmarks for the library's hot kernels, in two parts.
 //
-// 1. A kernel-backend comparison (scalar vs simd market solves across market
-//    sizes, cold kAuto and warm kReuse) that always runs and emits the bench
-//    schema v2 JSON (BENCH_micro_kernels.json) so tools/bench_diff can gate
-//    the SIMD speedup across PRs. Accepts the standard bench flags
-//    (--quick/--csv/--json/...; see bench_common.hpp).
+// 1. Full market pipeline timings (arc build + clearing solve + writeback)
+//    across market sizes, cold kAuto and warm kReuse, plus the attribution
+//    and sampler overhead records. Always runs and emits the bench schema v2
+//    JSON (BENCH_micro_kernels.json) that tools/bench_diff tracks across
+//    revisions. Accepts the standard bench flags (--quick/--csv/--json/...;
+//    see bench_common.hpp).
 //
 // 2. The original google-benchmark suite (sort paths, row sweeps, dense
 //    matvec — the quantities behind the paper's per-iteration cost model
@@ -24,14 +25,12 @@
 #include "datasets/large_diagonal.hpp"
 #include "equilibration/breakpoint_solver.hpp"
 #include "equilibration/equilibrator.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "io/table_printer.hpp"
 #include "linalg/kernels.hpp"
 #include "obs/market_stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/stopwatch.hpp"
 
 namespace {
@@ -45,12 +44,11 @@ void FillArcs(std::vector<Arc>& arcs, std::size_t n, Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1: scalar vs simd backend comparison (always runs; feeds bench_diff).
+// Part 1: market pipeline timings (always runs; feeds bench_diff).
 
-// One full market pipeline through a backend: arc build + clearing solve +
-// allocation writeback — the exact per-market work of a sweep.
-double TimeBackendUs(const KernelBackend& kb, std::size_t n, std::size_t reps,
-                     SortPolicy policy) {
+// One full market pipeline: arc build + clearing solve + allocation
+// writeback — the exact per-market work of a sweep.
+double TimeMarketUs(std::size_t n, std::size_t reps, SortPolicy policy) {
   Rng rng(7);
   std::vector<double> centers(n), weights(n), other(n), x(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -64,8 +62,8 @@ double TimeBackendUs(const KernelBackend& kb, std::size_t n, std::size_t reps,
   MarketOrder* order_ptr = policy == SortPolicy::kReuse ? &order : nullptr;
   // Warm-up solve (establishes the kReuse permutation, faults pages).
   ws.Resize(n);
-  kb.BuildArcs(centers, weights, other, ws.p(), ws.q());
-  (void)kb.Solve(ws, u, 0.0, policy, order_ptr);
+  BuildArcs(centers, weights, other, ws.p(), ws.q());
+  (void)SolveMarket(ws, u, 0.0, policy, order_ptr);
   // Best of three repetition means: this container has no CPU pinning, so a
   // single mean is at the mercy of scheduler migrations.
   double best = std::numeric_limits<double>::infinity();
@@ -73,9 +71,9 @@ double TimeBackendUs(const KernelBackend& kb, std::size_t n, std::size_t reps,
     Stopwatch sw;
     for (std::size_t r = 0; r < reps; ++r) {
       ws.Resize(n);
-      kb.BuildArcs(centers, weights, other, ws.p(), ws.q());
-      const auto res = kb.Solve(ws, u, 0.0, policy, order_ptr);
-      kb.Writeback(ws.p(), ws.q(), res.lambda, x);
+      BuildArcs(centers, weights, other, ws.p(), ws.q());
+      const auto res = SolveMarket(ws, u, 0.0, policy, order_ptr);
+      Writeback(ws.p(), ws.q(), res.lambda, x);
       benchmark::DoNotOptimize(x.data());
     }
     best = std::min(best, sw.Seconds() * 1e6 / static_cast<double>(reps));
@@ -83,82 +81,21 @@ double TimeBackendUs(const KernelBackend& kb, std::size_t n, std::size_t reps,
   return best;
 }
 
-// The vectorized elementwise stages alone (arc build, breakpoints,
-// writeback), without the shared scalar sort/driver: the per-element
-// throughput a wider backend can actually move. The full-solve rows above
-// bound the end-to-end win (Amdahl over the shared sort and the
-// latency-bound prefix-sum sweep).
-double TimeStagesUs(const KernelBackend& kb, std::size_t n, std::size_t reps) {
-  Rng rng(11);
-  std::vector<double> centers(n), weights(n), other(n), b(n), x(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    centers[j] = rng.Uniform(-100.0, 100.0);
-    weights[j] = rng.Uniform(0.05, 5.0);
-    other[j] = rng.Uniform(-10.0, 10.0);
-  }
-  std::vector<double> p(n), q(n);
-  kb.BuildArcs(centers, weights, other, p, q);  // warm-up
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch sw;
-    for (std::size_t r = 0; r < reps; ++r) {
-      kb.BuildArcs(centers, weights, other, p, q);
-      kb.Breakpoints(p, q, b);
-      kb.Writeback(p, q, 0.25, x);
-      benchmark::DoNotOptimize(x.data());
-    }
-    best = std::min(best, sw.Seconds() * 1e6 / static_cast<double>(reps));
-  }
-  return best;
-}
-
-void RunBackendComparison(const bench::BenchOptions& opts,
-                          ExperimentLog& log) {
-  std::cout << "kernel backends: compiled="
-            << simd::ToString(simd::CompiledIsa())
-            << " runtime=" << simd::ToString(simd::RuntimeIsa())
-            << " simd_available=" << (SimdKernelAvailable() ? "yes" : "no")
-            << "\n";
-  TablePrinter t({"market n", "sort", "scalar (us)", "simd (us)", "speedup"});
+void RunMarketPipeline(const bench::BenchOptions& opts, ExperimentLog& log) {
+  TablePrinter t({"market n", "sort", "us / solve"});
   for (std::size_t n : {10u, 120u, 1000u, 10000u}) {
     std::size_t reps = std::max<std::size_t>(20, 200000 / n);
     if (opts.quick) reps = std::max<std::size_t>(5, reps / 10);
     for (SortPolicy policy : {SortPolicy::kAuto, SortPolicy::kReuse}) {
       const char* sort_name = policy == SortPolicy::kReuse ? "reuse" : "auto";
-      const double us_scalar = TimeBackendUs(ScalarKernel(), n, reps, policy);
-      const double us_simd = TimeBackendUs(SimdKernel(), n, reps, policy);
-      const double speedup = us_simd > 0.0 ? us_scalar / us_simd : 0.0;
+      const double us = TimeMarketUs(n, reps, policy);
       t.AddRow({TablePrinter::Int(static_cast<long>(n)), sort_name,
-                TablePrinter::Num(us_scalar, 3), TablePrinter::Num(us_simd, 3),
-                TablePrinter::Num(speedup, 2)});
+                TablePrinter::Num(us, 3)});
       const std::string ds = "n=" + std::to_string(n) + ",sort=" + sort_name;
-      log.Add("kernel_backend", ds, "scalar_us_per_solve", us_scalar);
-      log.Add("kernel_backend", ds, "simd_us_per_solve", us_simd);
-      log.Add("kernel_backend", ds, "simd_speedup", speedup, std::nullopt,
-              SimdKernelAvailable() ? "simd vector bodies"
-                                    : "simd degraded to scalar bodies");
+      log.Add("kernel", ds, "us_per_solve", us);
     }
   }
   t.Print(std::cout);
-
-  std::cout << "\nelementwise stages only (arc build + breakpoints + "
-               "writeback, no sort/sweep):\n";
-  TablePrinter ts({"market n", "scalar (us)", "simd (us)", "speedup"});
-  for (std::size_t n : {120u, 1000u, 10000u}) {
-    std::size_t reps = std::max<std::size_t>(50, 400000 / n);
-    if (opts.quick) reps = std::max<std::size_t>(10, reps / 10);
-    const double us_scalar = TimeStagesUs(ScalarKernel(), n, reps);
-    const double us_simd = TimeStagesUs(SimdKernel(), n, reps);
-    const double speedup = us_simd > 0.0 ? us_scalar / us_simd : 0.0;
-    ts.AddRow({TablePrinter::Int(static_cast<long>(n)),
-               TablePrinter::Num(us_scalar, 3), TablePrinter::Num(us_simd, 3),
-               TablePrinter::Num(speedup, 2)});
-    const std::string ds = "n=" + std::to_string(n) + ",stages=elementwise";
-    log.Add("kernel_backend", ds, "scalar_us_per_pass", us_scalar);
-    log.Add("kernel_backend", ds, "simd_us_per_pass", us_simd);
-    log.Add("kernel_backend", ds, "simd_speedup", speedup);
-  }
-  ts.Print(std::cout);
 }
 
 // ---------------------------------------------------------------------------
@@ -361,11 +298,11 @@ int main(int argc, char** argv) {
   const auto opts = sea::bench::ParseArgs(bench_argc, bench_args.data());
 
   sea::bench::PrintHeader(
-      "micro_kernels: kernel-backend comparison (scalar vs simd)",
+      "micro_kernels: market pipeline",
       "full market pipeline (arc build + clearing solve + writeback), "
-      "single thread, median-free mean over fixed reps");
+      "single thread, best of three means over fixed reps");
   sea::ExperimentLog log;
-  RunBackendComparison(opts, log);
+  RunMarketPipeline(opts, log);
   RunAttributionOverhead(opts, log);
   RunSamplerOverhead(opts, log);
   sea::bench::Finish(log, opts, "micro_kernels");

@@ -10,7 +10,6 @@
 #include "core/multiplier_rebalance.hpp"
 #include "core/stopping.hpp"
 #include "equilibration/equilibrator.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "obs/market_stats.hpp"
 #include "problems/feasibility.hpp"
 #include "support/check.hpp"
@@ -66,7 +65,6 @@ class DenseDiagonalBackend final : public SeaIterationBackend {
     sweep_opts_.sort_policy = opts.sort_policy;
     sweep_opts_.pool = opts.pool;
     sweep_opts_.record_task_costs = opts.record_trace;
-    sweep_opts_.kernel = ResolveKernelBackend(opts.backend).kernel;
     sweep_opts_.attribution = opts.attribution;
     if (opts.attribution != nullptr) opts.attribution->Reset(p.m(), p.n());
     if (opts.sweep_schedule != ScheduleKind::kStatic) {

@@ -5,7 +5,6 @@
 #include <functional>
 
 #include "equilibration/breakpoint_solver.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "parallel/schedule.hpp"
 #include "support/cancel.hpp"
 #include "support/op_counter.hpp"
@@ -76,12 +75,10 @@ struct SeaOptions {
   // it improves parallel efficiency.
   std::size_t check_every = 1;
   SortPolicy sort_policy = SortPolicy::kAuto;
-  // Kernel backend for the market solves (equilibration/kernel_backend.hpp).
-  // kAuto picks the vectorized backend when the build and CPU support one
-  // (overridable via SEA_BACKEND); safe because backends are bit-identical
-  // by contract. kSimd on unsupported hardware falls back to scalar (the
-  // resolution records it; sea_solve surfaces a diagnosis).
-  KernelBackendKind backend = KernelBackendKind::kAuto;
+  // Benchmark compatibility only (equilibration/kernel_backend.hpp): the
+  // one market kernel's name, read by perfbench/ and nothing else. Not an
+  // option; it goes when the benchmark is next revised.
+  static constexpr const char* backend = "scalar";
   // Optional shared-memory pool for the row/column sweeps; null = serial.
   ThreadPool* pool = nullptr;
   // How each sweep is partitioned over the pool (docs/PARALLELISM.md).

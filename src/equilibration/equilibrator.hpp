@@ -89,7 +89,7 @@ struct SweepStats {
   // (SortPolicy::kReuse; 0 otherwise).
   std::uint64_t order_reuses = 0;
   // Markets solved this sweep (feeds SeaResult::kernel_markets and the
-  // sea.kernel.<backend>.markets counter).
+  // sea.kernel.markets counter).
   std::uint64_t markets = 0;
 };
 
@@ -110,9 +110,6 @@ struct SweepOptions {
   // literal; nullptr = unnamed "equilibrate.sweep"). Lets the profile tell
   // row from column sweeps per worker track (obs/profiler.hpp).
   const char* profile_phase = nullptr;
-  // Kernel backend executing the market solves (kernel_backend.hpp);
-  // null = ScalarKernel(). Typically ResolveKernelBackend(opts.backend).
-  const KernelBackend* kernel = nullptr;
   // Per-market attribution (obs/market_stats.hpp): when set, every market
   // solve records its active-set size, breakpoint count, and kernel seconds
   // under slot attribution_base + market index (the caller maps sweep sides
@@ -152,7 +149,6 @@ BreakpointResult EquilibrateMarket(std::span<const double> centers,
                                    double u, double v, BreakpointWorkspace& ws,
                                    std::span<double> x_out,
                                    SortPolicy policy = SortPolicy::kAuto,
-                                   MarketOrder* order = nullptr,
-                                   const KernelBackend* kernel = nullptr);
+                                   MarketOrder* order = nullptr);
 
 }  // namespace sea

@@ -1,145 +1,26 @@
-// Runtime-selectable kernel backends for the equilibration hot path
-// (docs/KERNELS.md).
-//
-// The market solve decomposes into four elementwise stages that vectorize —
-// arc construction p_j = c_j + mu_j*q_j, breakpoint construction
-// b_j = -p_j/q_j, the prefix-sum/search clearing sweep, and the post-clearing
-// allocation writeback x_j = max(0, p_j + q_j*lambda) — plus one stage that
-// does not: the breakpoint sort, whose comparison counts feed the paper's
-// complexity model. A KernelBackend implements the elementwise stages; the
-// shared non-virtual Solve/SolveBox drivers own the sort, the sort-reuse
-// repair, the edge cases, and the operation accounting, so every backend
-// inherits them unchanged (the mf_pogs sinkhorn_knopp.h/.cuh shape: one
-// algorithm, one implementation file per backend).
-//
-// Bit-identity contract: every backend MUST produce bit-identical results to
-// ScalarKernel() on every input — same clearing multiplier, same active
-// count, same operation counts. The drivers guarantee the shared parts (one
-// tie-breaking total order for the sort, sequential prefix sums); backends
-// guarantee the elementwise parts by performing the exact same IEEE-754
-// operations per element as the scalar bodies (same division/multiply/add
-// sequence, no FMA contraction — backend_scalar.cpp and backend_simd.cpp are
-// compiled with -ffp-contract=off — and max forms that agree on ±0 and NaN).
-// tests/test_kernel_backend.cpp enforces the contract on the fixture suite.
+// Benchmark compatibility only. The repository benchmark (perfbench/) reads
+// three names for its context line: this header,
+// sea::ResolveKernelBackend(SeaOptions{}.backend).kernel->name() and
+// SeaResult::kernel_backend. The market kernel has one implementation
+// (equilibration/breakpoint_solver.hpp), so all three report "scalar" and
+// none can be set. Nothing else in the repository reads them; they go when
+// the benchmark is next revised.
 #pragma once
-
-#include <cstddef>
-#include <optional>
-#include <span>
-#include <string>
-
-#include "equilibration/breakpoint_solver.hpp"
 
 namespace sea {
 
-// Which backend a solve should use (SeaOptions::backend, sea_solve
-// --backend). kAuto picks the vectorized backend when the build and the CPU
-// support one (overridable via the SEA_BACKEND environment variable) —
-// always safe, because backends are bit-identical by contract.
-enum class KernelBackendKind {
-  kAuto,
-  kScalar,
-  kSimd,
+struct KernelName {
+  static constexpr const char* name() { return "scalar"; }
 };
 
-const char* ToString(KernelBackendKind kind);
-// Strict parse of "auto"/"scalar"/"simd"; nullopt on anything else.
-std::optional<KernelBackendKind> ParseKernelBackendKind(std::string_view text);
-
-class KernelBackend {
- public:
-  virtual ~KernelBackend() = default;
-
-  // Stable identifier recorded in SeaResult::kernel_backend and the
-  // sea.kernel.* metrics: "scalar" or "simd".
-  virtual const char* name() const = 0;
-
-  // ---- Elementwise stages (each backend supplies vector bodies). ----
-  // All spans are length n unless noted; outputs may not alias inputs.
-
-  // p[j] = centers[j] + other_mult[j]*q[j], q[j] = 1/(2*weights[j]).
-  virtual void BuildArcs(std::span<const double> centers,
-                         std::span<const double> weights,
-                         std::span<const double> other_mult,
-                         std::span<double> p, std::span<double> q) const = 0;
-
-  // Sparse-row (CSR) variant: other_mult is indexed through cols.
-  virtual void BuildArcsGather(std::span<const double> centers,
-                               std::span<const double> weights,
-                               std::span<const double> other_mult,
-                               std::span<const std::size_t> cols,
-                               std::span<double> p,
-                               std::span<double> q) const = 0;
-
-  // b[j] = -p[j]/q[j] (exact negation, then division).
-  virtual void Breakpoints(std::span<const double> p,
-                           std::span<const double> q,
-                           std::span<double> b) const = 0;
-
-  // x[j] = max(0, p[j] + q[j]*lambda), with std::max(0.0, v) semantics on
-  // ±0 and NaN.
-  virtual void Writeback(std::span<const double> p, std::span<const double> q,
-                         double lambda, std::span<double> x) const = 0;
-
-  // ---- The clearing sweep over the sorted market. ----
-
-  struct SweepHit {
-    std::size_t k = 0;      // accepted segment: nodes[0..k] active
-    double lambda = 0.0;    // (u - P_k) / (Q_k - v)
-    bool found = false;     // false only on non-finite input (breakdown)
-  };
-
-  // Finds the first segment k whose clearing candidate does not overshoot
-  // its right edge. bs/ps/qs are the sorted arrays, padded to at least
-  // n + simd::kPadLanes with bs = +inf and ps = qs = 0 so the last segment
-  // (and any vector block over the tail) always accepts. The acceptance
-  // test is the multiply form  u - P_k <= bs[k+1] * (Q_k - v)  — equivalent
-  // to comparing the candidate against the segment edge with one division
-  // per *accepted* segment instead of one per swept segment, and elementwise
-  // (so the vector backends evaluate the identical operation per lane).
-  // Prefix sums P/Q are sequential in every backend.
-  virtual SweepHit SweepSearch(std::span<const double> bs,
-                               std::span<const double> ps,
-                               std::span<const double> qs, std::size_t n,
-                               double u, double v) const = 0;
-
-  // ---- Shared drivers (sort + edge cases + accounting; non-virtual). ----
-
-  // See SolveMarket / SolveMarketBox in breakpoint_solver.hpp for the
-  // contracts; the market is ws.p()/ws.q() after the caller's Resize+fill.
-  BreakpointResult Solve(BreakpointWorkspace& ws, double u, double v,
-                         SortPolicy policy = SortPolicy::kAuto,
-                         MarketOrder* order = nullptr) const;
-  BreakpointResult SolveBox(BreakpointWorkspace& ws, double u, double v,
-                            double lo, double hi,
-                            SortPolicy policy = SortPolicy::kAuto,
-                            MarketOrder* order = nullptr) const;
-};
-
-// The backend singletons. SimdKernel() dispatches per call on
-// simd::RuntimeIsa(), so it degrades to the scalar bodies (not to a crash)
-// when the CPU cannot execute the compiled vector ISA.
-const KernelBackend& ScalarKernel();
-const KernelBackend& SimdKernel();
-
-// Outcome of resolving a requested backend against build and CPU support.
 struct KernelResolution {
-  const KernelBackend* kernel = nullptr;
-  KernelBackendKind requested = KernelBackendKind::kAuto;
-  // True when simd was explicitly requested (flag/option or SEA_BACKEND)
-  // but is unavailable; `note` then says why. kAuto quietly picks the best
-  // available backend and never sets this.
-  bool fell_back = false;
-  std::string note;
+  const KernelName* kernel = nullptr;
 };
 
-// Resolves `requested` to a concrete backend: kScalar/kSimd honor the
-// request (simd falls back to scalar with a note when the build or CPU
-// lacks vector support); kAuto consults the SEA_BACKEND environment
-// variable (scalar|simd|auto) and otherwise picks simd when available.
-KernelResolution ResolveKernelBackend(KernelBackendKind requested);
+inline constexpr KernelName kKernelName{};
 
-// True when SimdKernel() would actually run vector bodies on this host.
-bool SimdKernelAvailable();
+inline KernelResolution ResolveKernelBackend(const char* /*backend*/) {
+  return {&kKernelName};
+}
 
 }  // namespace sea

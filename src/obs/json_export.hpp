@@ -18,7 +18,12 @@
 // snapshot (obs/market_stats.hpp, obs/flight_recorder.hpp,
 // obs/status_file.hpp). Version 4 added the telemetry-plane documents:
 // /timeseries and its index (obs/sampler.hpp), /varz, and the wide-event
-// solve log (obs/solve_log.hpp).
+// solve log (obs/solve_log.hpp). Version 5 is the one break from
+// append-only: the single market kernel left nothing to name, so the
+// `backend` fields of the solve log, the result JSON (`kernel_backend`),
+// sea_solve's metrics JSON and /varz were removed, along with the
+// sea.kernel.backend gauge; sea.kernel.<backend>.markets became
+// sea.kernel.markets.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +41,7 @@ struct PoolStats;
 namespace obs {
 
 // Current version stamped into every exported document and trace event.
-inline constexpr int kTelemetrySchemaVersion = 4;
+inline constexpr int kTelemetrySchemaVersion = 5;
 
 std::string JsonEscape(const std::string& s);
 // Shortest decimal that round-trips to the same double; "null" for

@@ -76,7 +76,7 @@ class MetricsSampler {
   void Ingest(const MetricsSnapshot& snapshot, double t_seconds);
 
   // One series as JSON:
-  //   {"schema":4,"type":"timeseries","metric":"sea.iterations",
+  //   {"schema":5,"type":"timeseries","metric":"sea.iterations",
   //    "kind":"rate","interval_ms":250,"samples":[{"t":1.25,"v":120.0},...]}
   // `last` > 0 returns only the most recent `last` samples. An unknown
   // metric returns {"error":"unknown metric","metrics":[...names...]}.

@@ -39,7 +39,7 @@
 // DiagonalProblem::Validate — comes back as a DecodedRequest with a
 // non-empty error string, which the daemon answers as 400/422.
 //
-// The response is always JSON (one flat object; schema 4): solve outcome
+// The response is always JSON (one flat object; schema 5): solve outcome
 // scalars, the cache tier that served the request ("cold", "exact",
 // "warm"), and FNV-1a fingerprints of the problem and the returned primal
 // so clients and tests can assert bit-identity without shipping the

@@ -78,7 +78,7 @@ class SolveService {
   // failures come back as !ok outcomes.
   ServeOutcome Handle(const SolveRequest& request, double queue_seconds);
 
-  // Renders the reply JSON the daemon writes back (flat, schema 4). The
+  // Renders the reply JSON the daemon writes back (flat, schema 5). The
   // multiplier arrays are included when the request asked for them.
   static std::string RenderReplyJson(const ServeOutcome& outcome,
                                      bool want_multipliers);

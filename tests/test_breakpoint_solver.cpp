@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -333,6 +335,44 @@ TEST(BreakpointSolver, ComplexityMatchesNLogN) {
     EXPECT_GT(static_cast<double>(res.ops.comparisons), 0.5 * nlogn);
     EXPECT_LT(static_cast<double>(res.ops.comparisons), 4.0 * nlogn);
   }
+}
+
+TEST(BreakpointSolver, ClearingOnTheLastSegmentMeetsTheSentinel) {
+  // Every arc is active at the clearing point, so the sweep accepts the
+  // last segment, whose right edge is the single +inf sentinel. A larger
+  // market solved first leaves finite breakpoints past the smaller market's
+  // end in the workspace; the sentinel must still sit at index n.
+  BreakpointWorkspace ws;
+  ws.Assign({{1.0, 1.0}, {2.0, 1.0}, {3.0, 1.0}, {4.0, 1.0}, {5.0, 1.0}});
+  (void)SolveMarket(ws, 1.0, 0.0);  // breakpoints -5..-1 fill the scratch
+  ws.Assign({{1.0, 1.0}, {2.0, 1.0}, {3.0, 1.0}});  // breakpoints -1,-2,-3
+  for (SortPolicy policy : {SortPolicy::kInsertion, SortPolicy::kHeapsort}) {
+    const auto fixed = SolveMarket(ws, 100.0, 0.0, policy);
+    EXPECT_EQ(fixed.active_count, 3u);
+    // Sorted order -3, -2, -1: prefix sums 3 + 2 + 1 and 1 + 1 + 1.
+    EXPECT_EQ(fixed.lambda, (100.0 - 6.0) / 3.0);
+    const auto elastic = SolveMarket(ws, 100.0, -1.0, policy);
+    EXPECT_EQ(elastic.active_count, 3u);
+    EXPECT_EQ(elastic.lambda, (100.0 - 6.0) / (3.0 + 1.0));
+  }
+}
+
+TEST(BreakpointSolver, WritebackClampsSignedZeroAndNaNToPositiveZero) {
+  // std::max(0.0, v) semantics: -0.0 products, exact-zero products, and NaN
+  // all come out as +0.0 bitwise.
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> p = {-0.0, 0.0, nan, -6.0, 4.0};
+  const std::vector<double> q(p.size(), 1.0);
+  std::vector<double> x(p.size(), -1.0);
+  Writeback(p, q, 0.0, x);
+  EXPECT_TRUE(same_bits(x[0], 0.0));  // max(0, -0.0) = +0.0
+  EXPECT_TRUE(same_bits(x[1], 0.0));
+  EXPECT_TRUE(same_bits(x[2], 0.0));  // max(0, NaN) = first arg
+  EXPECT_TRUE(same_bits(x[3], 0.0));
+  EXPECT_TRUE(same_bits(x[4], 4.0));
 }
 
 }  // namespace

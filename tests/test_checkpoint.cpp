@@ -4,10 +4,10 @@
 // cross-iteration state of the engine, so a run interrupted at any compared
 // check and resumed from disk finishes **bit-identically** to the
 // uninterrupted run — same iterate bytes, same iteration count, same final
-// measure — at any thread count and kernel backend, for the dense and the
-// sparse backend, under the residual and the kXChange criteria. The loader
-// side: hostile bytes (truncation, corruption, version skew, wrong problem)
-// come back as structured diagnoses, never crashes.
+// measure — at any thread count, for the dense and the sparse backend,
+// under the residual and the kXChange criteria. The loader side: hostile
+// bytes (truncation, corruption, version skew, wrong problem) come back as
+// structured diagnoses, never crashes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,12 +17,10 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "parallel/thread_pool.hpp"
 #include "problems/validate.hpp"
 #include "sparse/sparse_sea.hpp"
@@ -257,36 +255,28 @@ TEST(CheckpointWriterUnit, DuplicateIterationIsWrittenOnce) {
 
 // ---------------------------------------------------------------------------
 // The resume proof: interrupt mid-run, restore, finish bit-identically.
-// Parameterized over thread count and kernel backend — the checkpoint is
-// oblivious to both by design (kSimd falls back to scalar where the build
-// or CPU lacks it, which preserves the comparison either way).
+// Parameterized over thread count — the checkpoint is oblivious to it by
+// design.
 
-class ResumeConfig
-    : public ::testing::TestWithParam<std::tuple<std::size_t,
-                                                 KernelBackendKind>> {
+class ResumeConfig : public ::testing::TestWithParam<std::size_t> {
  protected:
-  std::size_t threads() const { return std::get<0>(GetParam()); }
-  KernelBackendKind backend() const { return std::get<1>(GetParam()); }
+  std::size_t threads() const { return GetParam(); }
 
   std::string CheckpointPath(const char* tag) const {
     return ::testing::TempDir() + "/resume_" + std::string(tag) + "_" +
-           std::to_string(threads()) + "_" +
-           std::to_string(static_cast<int>(backend())) + ".bin";
+           std::to_string(threads()) + ".bin";
   }
 };
 
 std::string ResumeConfigName(
     const ::testing::TestParamInfo<ResumeConfig::ParamType>& info) {
-  return "t" + std::to_string(std::get<0>(info.param)) +
-         (std::get<1>(info.param) == KernelBackendKind::kSimd ? "_simd"
-                                                              : "_scalar");
+  return "t" + std::to_string(info.param);
 }
 
 TEST_P(ResumeConfig, DenseResumeContinuesBitIdentically) {
   const auto p = DenseFixedProblem();
   ThreadPool pool(threads());
   SeaOptions base = BaseOptions();
-  base.backend = backend();
   if (threads() > 1) base.pool = &pool;
 
   const auto ref = SolveDiagonal(p, base);
@@ -329,7 +319,6 @@ TEST_P(ResumeConfig, SparseResumeContinuesBitIdentically) {
   const auto p = SparseFixedProblem();
   ThreadPool pool(threads());
   SeaOptions base = BaseOptions();
-  base.backend = backend();
   if (threads() > 1) base.pool = &pool;
 
   const auto ref = SolveSparse(p, base);
@@ -370,7 +359,6 @@ TEST_P(ResumeConfig, XChangeResumeRestoresTheSnapshot) {
   SeaOptions base = BaseOptions();
   base.criterion = StopCriterion::kXChange;
   base.epsilon = 1e-9;
-  base.backend = backend();
   if (threads() > 1) base.pool = &pool;
 
   const auto ref = SolveDiagonal(p, base);
@@ -402,9 +390,7 @@ TEST_P(ResumeConfig, XChangeResumeRestoresTheSnapshot) {
 
 INSTANTIATE_TEST_SUITE_P(
     Checkpoint, ResumeConfig,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{4}),
-                       ::testing::Values(KernelBackendKind::kScalar,
-                                         KernelBackendKind::kSimd)),
+    ::testing::Values(std::size_t{1}, std::size_t{4}),
     ResumeConfigName);
 
 // ---------------------------------------------------------------------------

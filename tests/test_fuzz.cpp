@@ -13,7 +13,6 @@
 #include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
 #include "entropy/entropy_sea.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "problems/feasibility.hpp"
 #include "serve/protocol.hpp"
 #include "support/rng.hpp"
@@ -174,36 +173,9 @@ TEST(Fuzz, HugeMagnitudes) {
   EXPECT_LT(CheckFeasibility(p, run.solution).MaxRel(), 1e-8);
 }
 
-// Backend-parameterized sweep: the same invariant checks must hold under an
-// explicitly pinned kernel backend (kSimd silently degrades to scalar bodies
-// on hosts without vector support, so this is safe everywhere).
-class FuzzBackend : public ::testing::TestWithParam<KernelBackendKind> {};
-
-TEST_P(FuzzBackend, RandomInstancesSolveUnderPinnedBackend) {
-  Rng rng(0xF029);
-  for (int trial = 0; trial < 25; ++trial) {
-    const std::size_t m = 1 + rng.NextIndex(12);
-    const std::size_t n = 1 + rng.NextIndex(12);
-    DenseMatrix x0(m, n), gamma(m, n);
-    for (double& v : x0.Flat()) v = rng.Uniform(0.0, 100.0);
-    for (double& v : gamma.Flat()) v = rng.Uniform(1e-3, 1e3);
-    Vector s0 = x0.RowSums(), d0 = x0.ColSums();
-    const double grow = rng.Uniform(0.5, 2.0);
-    for (double& v : s0) v *= grow;
-    for (double& v : d0) v *= grow;
-    const auto p = DiagonalProblem::MakeFixed(x0, gamma, s0, d0);
-    SeaOptions o = FuzzOptions();
-    o.backend = GetParam();
-    const auto run = SolveDiagonal(p, o);
-    ASSERT_TRUE(run.result.converged()) << trial;
-    const auto rep = CheckFeasibility(p, run.solution);
-    EXPECT_GE(rep.min_x, 0.0) << trial;
-    EXPECT_LT(rep.MaxAbs(), 1e-5 * (2.0 + rep.max_row_abs)) << trial;
-  }
-}
-
-TEST_P(FuzzBackend, DegenerateMarketsUnderPinnedBackend) {
-  // Tiny and tie-heavy shapes stress the vector kernels' tail handling.
+TEST(Fuzz, DegenerateTieHeavyMarkets) {
+  // Tiny and tie-heavy shapes: uniform weights make breakpoints collide, so
+  // the sort's arc-index tie-break decides the order.
   Rng rng(0xF02A);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t m = 1 + rng.NextIndex(5);
@@ -211,20 +183,11 @@ TEST_P(FuzzBackend, DegenerateMarketsUnderPinnedBackend) {
     DenseMatrix x0(m, n), gamma(m, n, 1.0);  // uniform weights => ties
     for (double& v : x0.Flat()) v = rng.Uniform(0.0, 4.0);
     Vector s0 = x0.RowSums(), d0 = x0.ColSums();
-    SeaOptions o = FuzzOptions();
-    o.backend = GetParam();
-    const auto run =
-        SolveDiagonal(DiagonalProblem::MakeFixed(x0, gamma, s0, d0), o);
+    const auto run = SolveDiagonal(
+        DiagonalProblem::MakeFixed(x0, gamma, s0, d0), FuzzOptions());
     ASSERT_TRUE(run.result.converged()) << trial;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, FuzzBackend,
-    ::testing::Values(KernelBackendKind::kScalar, KernelBackendKind::kSimd),
-    [](const ::testing::TestParamInfo<KernelBackendKind>& info) {
-      return std::string(ToString(info.param));
-    });
 
 TEST(Fuzz, EntropyRandomInstances) {
   Rng rng(0xF028);

@@ -24,7 +24,6 @@
 #include "entropy/entropy_sea.hpp"
 #include "equilibration/breakpoint_solver.hpp"
 #include "equilibration/equilibrator.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "io/csv.hpp"
 #include "io/experiment_record.hpp"
 #include "io/table_printer.hpp"
@@ -49,7 +48,6 @@
 #include "support/check.hpp"
 #include "support/op_counter.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/stopwatch.hpp"
 
 #include <gtest/gtest.h>

@@ -1238,7 +1238,6 @@ TEST(SolveLog, WideEventRoundTripsThroughTheTraceReader) {
   event.cols = 30;
   event.epsilon = 1e-4;
   event.criterion = "residual_rel";
-  event.backend = "scalar";
   event.options_fingerprint = 0xDEADBEEFCAFEF00Dull;
   event.status = "converged";
   event.exit_code = 0;
@@ -1264,6 +1263,7 @@ TEST(SolveLog, WideEventRoundTripsThroughTheTraceReader) {
   EXPECT_EQ(ev.Number("exit_code"), 0.0);
   EXPECT_DOUBLE_EQ(ev.Number("final_residual"), 3.5e-5);
   EXPECT_FALSE(ev.Has("error"));  // only present on failed invocations
+  EXPECT_FALSE(ev.Has("backend"));  // removed in schema 5
 
   event.error = "resume rejected";
   EXPECT_EQ(obs::ParseTraceLine(obs::RenderWideEvent(event))

@@ -4,7 +4,7 @@
 # inspect the survivor with checkpoint_info, resume from it, and require
 # the resumed solution to be byte-identical to an uninterrupted reference
 # run. CI runs this in every matrix leg, so the bit-identity contract is
-# proven under both the scalar and simd kernel backends.
+# proven under both gcc and clang builds.
 #
 #   tools/ci/crash_resume_smoke.sh [build-dir]
 set -euo pipefail

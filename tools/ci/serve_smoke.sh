@@ -5,7 +5,9 @@
 #
 #   * every request answered, zero errors (serve_load exits non-zero
 #     otherwise, and /varz errors must read 0),
-#   * the warm-start cache actually hit (exact + nearby > 0 on /varz),
+#   * the warm-start cache actually hit (exact + nearby > 0 on /varz), and
+#     the nearby tier answered at least half of the perturbed requests
+#     (each carries distinct totals, so none can be an exact replay),
 #   * nothing was shed at smoke scale,
 #   * SIGTERM drains cleanly: the daemon exits 0 after "drained",
 #   * the per-request wide-event log passes solve_log_check with one
@@ -20,6 +22,7 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 BENCH_OUT="${2:-BENCH_serve.json}"
 REQUESTS=200  # serve_load --quick request count
+PERTURBED=80  # serve_load's default --perturb-pct 40 of those
 
 rm -f serve_port.txt serve_log.jsonl "$BENCH_OUT"
 "$BUILD_DIR"/tools/sea_serve --listen 0 --listen-port-file serve_port.txt \
@@ -47,6 +50,8 @@ assert v['requests'] == $REQUESTS, v
 assert v['errors'] == 0, v
 hits = v['cache_hits_exact'] + v['cache_hits_nearby']
 assert hits > 0, 'warm-start cache never hit: %r' % v
+assert 2 * v['cache_hits_nearby'] >= $PERTURBED, \
+    'nearby tier answered fewer than half of $PERTURBED perturbed requests: %r' % v
 assert v['shed'] == 0, v
 print('varz ok: %d requests, %d cache hits (%d exact / %d nearby)'
       % (v['requests'], hits, v['cache_hits_exact'],

@@ -7,7 +7,7 @@
 // converged multipliers (src/serve/warm_cache.hpp).
 //
 // Endpoints:
-//   POST /solve     submit one problem; JSON reply (schema 4)
+//   POST /solve     submit one problem; JSON reply (schema 5)
 //   GET  /healthz   liveness ("ok")
 //   GET  /varz      daemon identity + live serve/cache/admission counters
 //   GET  /metrics   Prometheus text exposition of the metrics registry

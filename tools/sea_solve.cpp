@@ -78,7 +78,6 @@
 #include "core/diagonal_sea.hpp"
 #include "core/solve_status.hpp"
 #include "datasets/weights.hpp"
-#include "equilibration/kernel_backend.hpp"
 #include "io/csv.hpp"
 #include "net/http_server.hpp"
 #include "obs/flight_recorder.hpp"
@@ -144,8 +143,6 @@ extern "C" void OnTerminationSignal(int /*signum*/) { g_cancel.Cancel(); }
          "0 = auto)\n"
          "           --sort auto|insertion|heapsort|reuse (breakpoint sort "
          "policy; default auto)\n"
-         "           --backend scalar|simd|auto (equilibration kernel "
-         "backend; default auto)\n"
          "           --progress               (print residual per check "
          "iteration)\n"
          "           --out estimate.csv       (default: stdout summary "
@@ -197,7 +194,7 @@ const std::set<std::string>& ValueFlags() {
       "weights",   "epsilon",    "criterion",    "check-every", "max-iters",
       "slack",     "threads",    "out",          "metrics-json",
       "trace-jsonl", "time-budget", "profile-json",
-      "schedule",  "grain",      "sort",         "backend",
+      "schedule",  "grain",      "sort",
       "stall-checks", "metrics-prom", "attribution-json",
       "postmortem-json", "status-file", "checkpoint", "checkpoint-every",
       "resume", "recovery-retries", "listen", "listen-port-file",
@@ -507,23 +504,6 @@ int main(int argc, char** argv) {
     } else {
       Usage(argv[0], "unknown sort policy '" + sort + "'");
     }
-    const std::string backend =
-        args.count("backend") ? args["backend"] : "auto";
-    if (const auto parsed = ParseKernelBackendKind(backend)) {
-      opts.backend = *parsed;
-    } else {
-      Usage(argv[0], "unknown backend '" + backend + "'");
-    }
-    // Surface an explicit-but-unavailable SIMD request as a structured
-    // diagnosis (the solve still runs, on the scalar backend).
-    const KernelResolution kres = ResolveKernelBackend(opts.backend);
-    if (kres.fell_back) {
-      Diagnosis d;
-      d.code = DiagnosisCode::kBackendUnavailable;
-      d.message = kres.note;
-      std::cerr << "warning: " << ToString(d.code) << ": " << d.message
-                << '\n';
-    }
 
     // Opt-in telemetry: structured trace + metrics registry + pool stats.
     std::unique_ptr<obs::JsonlTraceSink> trace_sink;
@@ -620,7 +600,6 @@ int main(int argc, char** argv) {
       mix_str(ToString(opts.criterion));
       mix_str(schedule);
       mix_str(sort);
-      mix_str(backend);
       fp.MixBytes(&opts.epsilon, sizeof(opts.epsilon));
       fp.MixU64(static_cast<std::uint64_t>(opts.check_every));
       fp.MixU64(static_cast<std::uint64_t>(opts.max_iterations));
@@ -712,7 +691,6 @@ int main(int argc, char** argv) {
               .Field("threads", static_cast<std::uint64_t>(threads))
               .Field("schedule", schedule)
               .Field("sort", sort)
-              .Field("backend", backend)
               .Field("sample_interval_ms", sampler_opts.interval_ms)
               .Str();
       server->Handle("/varz", [varz](const net::HttpRequest&) {
@@ -756,7 +734,6 @@ int main(int argc, char** argv) {
     if (server) server->Stop();
     const auto rep = CheckFeasibility(problem, run.solution);
 
-    wide.backend = run.result.kernel_backend;
     wide.iterations = static_cast<std::uint64_t>(run.result.iterations);
     wide.checks_compared =
         static_cast<std::uint64_t>(run.result.checks_compared);
@@ -782,7 +759,6 @@ int main(int argc, char** argv) {
               << "objective:      " << run.result.objective << '\n'
               << "max residual:   " << rep.MaxAbs() << " (abs), "
               << rep.MaxRel() << " (rel)\n"
-              << "kernel backend: " << run.result.kernel_backend << '\n'
               << "cpu seconds:    " << run.result.cpu_seconds << '\n';
 
     if (opts.resume != nullptr)
@@ -877,7 +853,6 @@ int main(int argc, char** argv) {
           .Field("threads", static_cast<std::uint64_t>(threads))
           .Field("schedule", schedule)
           .Field("sort", sort)
-          .Field("backend", run.result.kernel_backend)
           .Raw("result", obs::ToJson(run.result))
           .Raw("feasibility", obs::JsonObj()
                                   .Field("max_abs", rep.MaxAbs())

@@ -12,7 +12,7 @@
 //
 // The mix is interleaved round-robin across --threads client connections,
 // per-request latency is recorded, and the run appends ONE JSONL line to
-// --json (default BENCH_serve.json; schema 4, same record shape as the
+// --json (default BENCH_serve.json; schema 5, same record shape as the
 // bench/ documents so tools/bench_diff gates trajectories): p50/p95/p99
 // latency, sustained requests/second, cache hit rate, error count.
 //
@@ -226,10 +226,13 @@ int main(int argc, char** argv) {
     } else if (r < repeat_pct + perturb_pct) {
       kinds[i] = 2;
       serve::SolveRequest req = base;
-      // Distinct totals per request: same structure, different exact key.
+      // Distinct totals per request (the scale is strictly increasing in
+      // i): same structure, a different exact key every time, so each one
+      // is a nearby-tier warm start rather than an exact replay.
       req.problem = MakeProblem(
           m, n, /*seed=*/42,
-          1.1 + 0.01 * static_cast<double>(1 + i % 17));
+          1.1 + 0.1 * static_cast<double>(i + 1) /
+                    static_cast<double>(total + 1));
       frames[i] = serve::EncodeRequestFrame(req);
     } else {
       kinds[i] = 0;
