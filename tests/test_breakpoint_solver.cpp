@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -354,6 +355,89 @@ TEST(BreakpointSolver, ClearingOnTheLastSegmentMeetsTheSentinel) {
     const auto elastic = SolveMarket(ws, 100.0, -1.0, policy);
     EXPECT_EQ(elastic.active_count, 3u);
     EXPECT_EQ(elastic.lambda, (100.0 - 6.0) / (3.0 + 1.0));
+  }
+}
+
+TEST(BreakpointSolver, BuildArcsGatherMatchesBuildArcsOnTheGatheredRow) {
+  // The sparse (CSR) construction must build the same market, bit for bit,
+  // as the dense one fed the multipliers it gathers; q is 1/(2w) exactly.
+  Rng rng(0xE1E3);
+  for (std::size_t n : {0u, 1u, 3u, 4u, 5u, 9u, 64u, 257u}) {
+    std::vector<double> centers(n), weights(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      centers[j] = rng.Uniform(-50.0, 50.0);
+      weights[j] = rng.Uniform(0.01, 10.0);
+    }
+    // Reversed column indices into a longer multiplier row.
+    std::vector<double> wide(2 * n + 1);
+    for (double& x : wide) x = rng.Uniform(-20.0, 20.0);
+    std::vector<std::size_t> cols(n);
+    std::vector<double> gathered(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      cols[j] = 2 * (n - 1 - j);
+      gathered[j] = wide[cols[j]];
+    }
+    std::vector<double> pg(n), qg(n), pd(n), qd(n);
+    BuildArcsGather(centers, weights, wide, cols, pg, qg);
+    BuildArcs(centers, weights, gathered, pd, qd);
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(qg[j], 1.0 / (2.0 * weights[j])) << "n=" << n << " j=" << j;
+      EXPECT_EQ(qd[j], qg[j]) << "n=" << n << " j=" << j;
+      EXPECT_EQ(pd[j], pg[j]) << "n=" << n << " j=" << j;
+      EXPECT_NEAR(pd[j], centers[j] + gathered[j] * qd[j],
+                  1e-12 * (1.0 + std::abs(pd[j])));
+    }
+  }
+}
+
+TEST(BreakpointSolver, WorkspaceReuseMatchesAFreshWorkspace) {
+  // One workspace serves every market of a worker, so markets of any size
+  // follow one another through the same scratch. A solve must not depend on
+  // what the previous one left there: multiplier, active count, feasibility
+  // and op counts equal those of a fresh workspace, for every policy, with
+  // markets shrinking and growing. Ties (duplicated arcs) exercise the
+  // index tie-break.
+  Rng rng(0xBEEF);
+  BreakpointWorkspace reused;
+  for (std::size_t n :
+       {1000u, 129u, 0u, 7u, 128u, 1u, 300u, 2u, 31u, 5u, 1000u, 3u}) {
+    std::vector<Arc> arcs(n);
+    for (auto& a : arcs)
+      a = {rng.Uniform(-100.0, 100.0), rng.Uniform(0.01, 5.0)};
+    for (std::size_t j = 3; j + 1 < n; j += 4) arcs[j + 1] = arcs[j];
+    const double u = rng.Uniform(0.0, 0.9 * double(n) + 1.0);
+    for (double v : {0.0, -0.5}) {
+      for (SortPolicy policy : {SortPolicy::kAuto, SortPolicy::kInsertion,
+                                SortPolicy::kHeapsort}) {
+        const std::string tag = "n=" + std::to_string(n) +
+                                " v=" + std::to_string(v) +
+                                " policy=" + std::to_string(int(policy));
+        BreakpointWorkspace fresh;
+        fresh.Assign(arcs);
+        reused.Assign(arcs);
+        const auto rf = SolveMarket(fresh, u, v, policy);
+        const auto rr = SolveMarket(reused, u, v, policy);
+        EXPECT_EQ(rf.lambda, rr.lambda) << tag;
+        EXPECT_EQ(rf.active_count, rr.active_count) << tag;
+        EXPECT_EQ(rf.feasible, rr.feasible) << tag;
+        EXPECT_EQ(rf.ops.comparisons, rr.ops.comparisons) << tag;
+        EXPECT_EQ(rf.ops.flops, rr.ops.flops) << tag;
+        EXPECT_EQ(rf.ops.breakpoints, rr.ops.breakpoints) << tag;
+        // The solve leaves the market itself untouched.
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(reused.p()[j], arcs[j].p) << tag;
+          ASSERT_EQ(reused.q()[j], arcs[j].q) << tag;
+        }
+        // Writeback's allocations sum, in arc order, to the supply the
+        // clearing equation evaluates.
+        std::vector<double> x(n);
+        Writeback(reused.p(), reused.q(), rr.lambda, x);
+        double total = 0.0;
+        for (double xj : x) total += xj;
+        EXPECT_EQ(total, EvaluateSupply(reused.p(), reused.q(), rr.lambda))
+            << tag;
+      }
+    }
   }
 }
 

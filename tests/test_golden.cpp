@@ -9,15 +9,25 @@
 // depend on libm. Inputs come from Rng::Uniform, which is libm-free too.
 // Row markets of the fixed instance have 150 arcs, so the heapsort path runs
 // alongside straight insertion.
+//
+// KernelTrajectory checks the path to those outputs on the same instances:
+// the pooled solve reproduces the serial one check by check (status,
+// iterations, every stopping measure bitwise, cumulative op counts), and
+// the market count matches one solve per row and column market per
+// iteration, in SeaResult::kernel_markets and the sea.kernel.markets
+// counter alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/diagonal_sea.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/sparse_sea.hpp"
 #include "support/hash.hpp"
@@ -175,6 +185,108 @@ INSTANTIATE_TEST_SUITE_P(
     Threads, Golden, ::testing::Values(std::size_t{1}, std::size_t{2}),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       return "t" + std::to_string(info.param);
+    });
+
+// One recorded solve: its result, the measure of every check with a defined
+// measure, the cumulative op counts at each of those checks, and the
+// sea.kernel.markets counter of its own metrics registry.
+struct Recorded {
+  SeaResult result;
+  std::vector<double> measures;
+  std::vector<std::size_t> iterations;
+  std::vector<OpCounts> ops;
+  std::uint64_t markets_counter = 0;
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Parameter: the regime name; "sparse" runs SolveSparse, every other name a
+// dense DiagonalSea solve of the matching golden instance.
+class KernelTrajectory : public ::testing::TestWithParam<const char*> {
+ protected:
+  Recorded Run(ThreadPool* pool) {
+    Recorded rec;
+    obs::MetricsRegistry metrics;
+    SeaOptions o;
+    o.epsilon = 1e-10;
+    o.criterion = StopCriterion::kResidualRel;
+    o.pool = pool;
+    o.metrics = &metrics;
+    o.progress = [&rec](const IterationEvent& ev) {
+      if (!ev.measure_defined) return;
+      rec.measures.push_back(ev.measure);
+      rec.iterations.push_back(ev.iteration);
+      rec.ops.push_back(ev.ops_total);
+    };
+    const std::string regime = GetParam();
+    if (regime == "sparse") {
+      rec.result = SolveSparse(SparseProblem(), o).result;
+    } else {
+      rec.result = SolveDiagonal(Problem(regime), o).result;
+    }
+    rec.markets_counter = metrics.GetCounter("sea.kernel.markets").Value();
+    return rec;
+  }
+
+  static DiagonalProblem Problem(const std::string& regime) {
+    if (regime == "fixed") return FixedProblem();
+    if (regime == "elastic") return ElasticProblem();
+    if (regime == "sam") return SamProblem();
+    return IntervalProblem();
+  }
+
+  // Row plus column markets solved by one iteration.
+  std::size_t MarketsPerIteration() const {
+    const std::string regime = GetParam();
+    if (regime == "sparse") {
+      const auto p = SparseProblem();
+      return p.m() + p.n();
+    }
+    const auto p = Problem(regime);
+    return p.m() + p.n();
+  }
+
+  ThreadPool pool_{2};
+};
+
+TEST_P(KernelTrajectory, PooledSolveRetracesTheSerialOneCheckByCheck) {
+  const Recorded serial = Run(nullptr);
+  const Recorded pooled = Run(&pool_);
+  ASSERT_TRUE(serial.result.converged());
+  EXPECT_EQ(serial.result.status, pooled.result.status);
+  EXPECT_EQ(serial.result.iterations, pooled.result.iterations);
+  EXPECT_EQ(serial.result.kernel_markets, pooled.result.kernel_markets);
+  ASSERT_FALSE(serial.measures.empty());
+  ASSERT_EQ(serial.measures.size(), pooled.measures.size());
+  for (std::size_t k = 0; k < serial.measures.size(); ++k) {
+    EXPECT_EQ(serial.iterations[k], pooled.iterations[k]);
+    ASSERT_TRUE(SameBits(serial.measures[k], pooled.measures[k]))
+        << "check " << k << " (iteration " << serial.iterations[k]
+        << "): " << serial.measures[k] << " vs " << pooled.measures[k];
+    EXPECT_EQ(serial.ops[k].flops, pooled.ops[k].flops) << "check " << k;
+    EXPECT_EQ(serial.ops[k].comparisons, pooled.ops[k].comparisons)
+        << "check " << k;
+    EXPECT_EQ(serial.ops[k].breakpoints, pooled.ops[k].breakpoints)
+        << "check " << k;
+  }
+}
+
+TEST_P(KernelTrajectory, EveryIterationSolvesEachMarketOnce) {
+  const Recorded rec = Run(nullptr);
+  ASSERT_TRUE(rec.result.converged());
+  ASSERT_GT(rec.result.iterations, 0u);
+  EXPECT_EQ(rec.result.kernel_markets,
+            rec.result.iterations * MarketsPerIteration());
+  EXPECT_EQ(rec.markets_counter, rec.result.kernel_markets);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Regimes, KernelTrajectory,
+    ::testing::Values("fixed", "elastic", "sam", "interval", "sparse"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
     });
 
 }  // namespace
