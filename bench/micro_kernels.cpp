@@ -1,11 +1,11 @@
 // Microbenchmarks for the library's hot kernels, in two parts.
 //
 // 1. Full market pipeline timings (arc build + clearing solve + writeback)
-//    across market sizes, cold kAuto and warm kReuse, plus the attribution
-//    and sampler overhead records. Always runs and emits the bench schema v2
-//    JSON (BENCH_micro_kernels.json) that tools/bench_diff tracks across
-//    revisions. Accepts the standard bench flags (--quick/--csv/--json/...;
-//    see bench_common.hpp).
+//    across market sizes, cold kAuto, warm kReuse and the paper's heapsort,
+//    plus the attribution and sampler overhead records. Always runs and
+//    emits the bench schema v2 JSON (BENCH_micro_kernels.json) that
+//    tools/bench_diff tracks across revisions. Accepts the standard bench
+//    flags (--quick/--csv/--json/...; see bench_common.hpp).
 //
 // 2. The original google-benchmark suite (sort paths, row sweeps, dense
 //    matvec — the quantities behind the paper's per-iteration cost model
@@ -86,8 +86,13 @@ void RunMarketPipeline(const bench::BenchOptions& opts, ExperimentLog& log) {
   for (std::size_t n : {10u, 120u, 1000u, 10000u}) {
     std::size_t reps = std::max<std::size_t>(20, 200000 / n);
     if (opts.quick) reps = std::max<std::size_t>(5, reps / 10);
-    for (SortPolicy policy : {SortPolicy::kAuto, SortPolicy::kReuse}) {
-      const char* sort_name = policy == SortPolicy::kReuse ? "reuse" : "auto";
+    // heapsort is the paper's sort (Section 4.1.1), recorded beside the
+    // default so the trajectory shows what kAuto's radix path saves.
+    for (SortPolicy policy :
+         {SortPolicy::kAuto, SortPolicy::kReuse, SortPolicy::kHeapsort}) {
+      const char* sort_name = policy == SortPolicy::kReuse     ? "reuse"
+                              : policy == SortPolicy::kHeapsort ? "heapsort"
+                                                                : "auto";
       const double us = TimeMarketUs(n, reps, policy);
       t.AddRow({TablePrinter::Int(static_cast<long>(n)), sort_name,
                 TablePrinter::Num(us, 3)});

@@ -8,6 +8,8 @@
 #include "equilibration/breakpoint_solver.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -78,6 +80,56 @@ std::uint64_t Heapsort(std::vector<SortKey>& v) {
     sift_down(0, end - 1);
   }
   return comparisons;
+}
+
+// Order-preserving 64-bit image of a breakpoint: for non-NaN a and b,
+// a < b exactly when OrderedBits(a) < OrderedBits(b) as unsigned integers.
+// Adding +0.0 maps -0.0 to +0.0 and leaves every other value unchanged, so
+// the two zeros, which compare equal, get one image and their tie goes to
+// the arc index as in KeyLess. Negative values flip every bit, non-negative
+// values only the sign bit.
+inline std::uint64_t OrderedBits(double b) {
+  b += 0.0;
+  std::uint64_t u = 0;
+  std::memcpy(&u, &b, sizeof(u));
+  return u ^ ((std::uint64_t{0} - (u >> 63)) | (std::uint64_t{1} << 63));
+}
+
+// Stable LSD radix sort of the breakpoints b[0..n) by OrderedBits, 8-bit
+// digits, least significant first. Keys start in arc-index order and every
+// pass is stable, so ties keep index order: the result is the KeyLess total
+// order. One histogram pass counts all eight digits; a digit equal for every
+// key is skipped. Returns the sorted arc indices (either idx or tmp) and adds
+// one comparison per key for the histogram pass and for each scatter pass.
+const std::uint32_t* RadixSort(const double* b, std::size_t n,
+                               std::uint64_t* bits, std::uint32_t* idx,
+                               std::uint32_t* tmp,
+                               std::uint64_t& comparisons) {
+  constexpr int kDigits = 8;
+  std::array<std::array<std::uint32_t, 256>, kDigits> count{};
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint64_t key = OrderedBits(b[j]);
+    bits[j] = key;
+    idx[j] = static_cast<std::uint32_t>(j);
+    for (int d = 0; d < kDigits; ++d) ++count[d][(key >> (8 * d)) & 0xFF];
+  }
+  comparisons += n;
+  std::uint32_t* src = idx;
+  std::uint32_t* dst = tmp;
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    auto& bucket = count[d];
+    if (bucket[(bits[0] >> shift) & 0xFF] == n) continue;  // constant digit
+    std::uint32_t start = 0;
+    for (std::uint32_t& c : bucket) start += std::exchange(c, start);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t j = src[k];
+      dst[bucket[(bits[j] >> shift) & 0xFF]++] = j;
+    }
+    std::swap(src, dst);
+    comparisons += n;
+  }
+  return src;
 }
 
 struct SweepHit {
@@ -192,60 +244,79 @@ BreakpointResult SolveMarket(BreakpointWorkspace& ws, double u, double v,
   // arc order.
   auto& b = ws.b_;
   if (b.size() < n) b.resize(n);
-  for (std::size_t j = 0; j < n; ++j) b[j] = -ws.p_[j] / ws.q_[j];
+  for (std::size_t j = 0; j < n; ++j) {
+    SEA_DCHECK(ws.q_[j] > 0.0);
+    b[j] = -ws.p_[j] / ws.q_[j];
+  }
   result.ops.flops += n;  // breakpoint divisions
   result.ops.breakpoints = n;
 
-  // Build sort keys — in the persisted order when reusing (the array is then
-  // nearly sorted and insertion repairs it in O(n + inversions)), in natural
-  // arc order otherwise.
-  auto& keys = ws.keys_;
-  keys.resize(n);
+  // Gathers the sorted SoA view from the arc indices in sweep order, and
+  // persists that order for the next sweep under kReuse. bs reads b by index,
+  // so every sort path leaves the same bits there, the sign of zero included;
+  // it carries one +inf sentinel at index n, the right edge of the last
+  // segment, so the sweep never reads past the end.
+  auto gather = [&](auto arc_at) {
+    if (ws.bs_.size() < n + 1) {
+      ws.bs_.resize(n + 1);
+      ws.ps_.resize(n);
+      ws.qs_.resize(n);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t j = arc_at(k);
+      ws.bs_[k] = b[j];
+      ws.ps_[k] = ws.p_[j];
+      ws.qs_[k] = ws.q_[j];
+    }
+    ws.bs_[n] = std::numeric_limits<double>::infinity();
+    if (policy == SortPolicy::kReuse && order != nullptr) {
+      order->perm.resize(n);
+      for (std::size_t k = 0; k < n; ++k) order->perm[k] = arc_at(k);
+    }
+  };
+
+  // Sort. Reuse repairs the persisted order with straight insertion (the
+  // array is nearly sorted, so O(n + inversions)); kAuto, and kReuse while it
+  // establishes an order, radix-sort above kInsertionThreshold and use
+  // insertion below it.
   const bool reuse = policy == SortPolicy::kReuse && order != nullptr &&
                      order->perm.size() == n;
-  if (reuse) {
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::uint32_t j = order->perm[k];
-      SEA_DCHECK(j < n && ws.q_[j] > 0.0);
-      keys[k] = {b[j], j};
+  const bool radix =
+      !reuse && n > kInsertionThreshold &&
+      (policy == SortPolicy::kAuto || policy == SortPolicy::kReuse);
+  if (radix) {
+    if (ws.radix_bits_.size() < n) {
+      ws.radix_bits_.resize(n);
+      ws.radix_idx_.resize(n);
+      ws.radix_tmp_.resize(n);
     }
+    const std::uint32_t* sorted =
+        RadixSort(b.data(), n, ws.radix_bits_.data(), ws.radix_idx_.data(),
+                  ws.radix_tmp_.data(), result.ops.comparisons);
+    gather([sorted](std::size_t k) { return sorted[k]; });
   } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      SEA_DCHECK(ws.q_[j] > 0.0);
-      keys[j] = {b[j], static_cast<std::uint32_t>(j)};
+    // Sort keys in the persisted order when reusing, in natural arc order
+    // otherwise.
+    auto& keys = ws.keys_;
+    keys.resize(n);
+    if (reuse) {
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::uint32_t j = order->perm[k];
+        SEA_DCHECK(j < n);
+        keys[k] = {b[j], j};
+      }
+      result.ops.comparisons += InsertionSort(keys, &result.ops.inversions);
+      result.order_reused = true;
+      ++order->reuses;
+    } else {
+      for (std::size_t j = 0; j < n; ++j)
+        keys[j] = {b[j], static_cast<std::uint32_t>(j)};
+      result.ops.comparisons += policy == SortPolicy::kHeapsort
+                                    ? Heapsort(keys)
+                                    : InsertionSort(keys);
     }
+    gather([&keys](std::size_t k) { return keys[k].idx; });
   }
-
-  if (reuse) {
-    result.ops.comparisons += InsertionSort(keys, &result.ops.inversions);
-    result.order_reused = true;
-    ++order->reuses;
-  } else {
-    const bool use_insertion =
-        policy == SortPolicy::kInsertion ||
-        (policy != SortPolicy::kHeapsort && n <= kInsertionThreshold);
-    result.ops.comparisons +=
-        use_insertion ? InsertionSort(keys) : Heapsort(keys);
-  }
-  if (policy == SortPolicy::kReuse && order != nullptr) {
-    // Persist the (repaired or freshly established) order for the next sweep.
-    order->perm.resize(n);
-    for (std::size_t k = 0; k < n; ++k) order->perm[k] = keys[k].idx;
-  }
-
-  // Gather the sorted SoA view. bs carries one +inf sentinel at index n, the
-  // right edge of the last segment, so the sweep never reads past the end.
-  if (ws.bs_.size() < n + 1) {
-    ws.bs_.resize(n + 1);
-    ws.ps_.resize(n);
-    ws.qs_.resize(n);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    ws.bs_[k] = keys[k].b;
-    ws.ps_[k] = ws.p_[keys[k].idx];
-    ws.qs_[k] = ws.q_[keys[k].idx];
-  }
-  ws.bs_[n] = std::numeric_limits<double>::infinity();
 
   // Segment before the first breakpoint: supply is 0.
   // Clearing: 0 = u + v*lambda.

@@ -21,16 +21,20 @@
 //
 // Sorting: the paper uses HEAPSORT for long arrays (Section 4.1.1) and
 // STRAIGHT INSERTION for arrays of 10..120 elements (Section 5.1.1). We
-// implement both and pick by length (overridable), and count comparisons so
-// the complexity model (7n + n ln n + 2n per market) can be validated.
+// implement both, and by default (SortPolicy::kAuto) pick by length:
+// insertion up to kInsertionThreshold arcs, and above it a stable LSD radix
+// sort of an order-preserving integer image of the breakpoints, O(n) where
+// heapsort is O(n log n). Comparisons are counted so the paper's complexity
+// model (7n + n ln n + 2n per market) can be validated against kHeapsort;
+// the radix sort counts one per key per pass.
 //
 // Sort reuse (SortPolicy::kReuse, docs/PARALLELISM.md): across SEA sweeps a
 // market's breakpoint ORDER stabilizes as the multipliers converge — the same
 // nearly-sorted regime accelerated iterative-scaling methods exploit. When a
 // MarketOrder carrying the previous sweep's permutation is supplied, the
 // solver builds the breakpoint array already permuted and repairs it with
-// straight insertion — O(n + inversions) instead of a fresh O(n log n)
-// heapsort — then persists the updated permutation for the next sweep. Ties
+// straight insertion — O(n + inversions) instead of a fresh sort — then
+// persists the updated permutation for the next sweep. Ties
 // are broken by original arc index in EVERY policy, so all sort paths produce
 // one total order and bit-identical clearing multipliers.
 //
@@ -59,19 +63,21 @@ struct Arc {
 };
 
 enum class SortPolicy {
-  kAuto,       // insertion sort below kInsertionThreshold, heapsort above
+  kAuto,       // insertion sort up to kInsertionThreshold, radix sort above
   kInsertion,  // straight insertion sort (paper Section 5.1.1)
   kHeapsort,   // heapsort (paper Section 4.1.1)
   kReuse,      // repair the previous sweep's order; needs a MarketOrder
                // (falls back to kAuto when none is supplied)
 };
 
-// kAuto crossover between straight insertion and heapsort. The paper quotes
-// insertion for 10..120 elements (Section 5.1.1) — on its 1989 testbed; the
-// measured crossover on current x86-64 (bench/micro_kernels.cpp,
-// BM_MarketSolveInsertion vs BM_MarketSolveHeapsort) sits at roughly 100-150
-// elements, so we keep the next binary magnitude above the paper's 120. If
-// the microbenches move the crossover on new hardware, re-tune here.
+// kAuto crossover between straight insertion and the radix sort. The paper
+// quotes insertion for 10..120 elements (Section 5.1.1) — on its 1989
+// testbed. Against radix, the full market pipeline (bench/micro_kernels.cpp,
+// RunMarketPipeline, with the threshold lowered in a scratch build) crosses
+// near 100 arcs on a 4-core Xeon with g++ 12.2: level at 96, radix ahead from
+// 112 (docs/KERNELS.md has the table). The threshold stays at the next binary
+// magnitude above the paper's 120, so markets of up to 128 arcs keep
+// insertion; lowering it is an open ROADMAP item.
 inline constexpr std::size_t kInsertionThreshold = 128;
 
 struct BreakpointResult {
@@ -146,10 +152,14 @@ class BreakpointWorkspace {
   // The market bundle (caller-filled; only the first n_ entries are live).
   std::vector<double> p_;
   std::vector<double> q_;
-  // Solver scratch: unsorted breakpoints, sort keys, and the sorted SoA view
-  // (bs_ holds one extra +inf sentinel past the last breakpoint).
+  // Solver scratch: unsorted breakpoints, sort keys (insertion, heapsort and
+  // repair), the radix sort's key images and index buffers, and the sorted
+  // SoA view (bs_ holds one extra +inf sentinel past the last breakpoint).
   std::vector<double> b_;
   std::vector<detail::SortKey> keys_;
+  std::vector<std::uint64_t> radix_bits_;
+  std::vector<std::uint32_t> radix_idx_;
+  std::vector<std::uint32_t> radix_tmp_;
   std::vector<double> bs_;
   std::vector<double> ps_;
   std::vector<double> qs_;

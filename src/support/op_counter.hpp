@@ -13,7 +13,10 @@
 namespace sea {
 
 struct OpCounts {
-  std::uint64_t comparisons = 0;  // sort + sweep comparisons
+  // Sort + sweep comparisons. The radix sort (SortPolicy::kAuto above
+  // kInsertionThreshold) compares no keys; it adds one per key for each
+  // pass it runs, so Work() stays proportional to kernel time.
+  std::uint64_t comparisons = 0;
   std::uint64_t flops = 0;        // floating-point add/mul in kernel + sweeps
   std::uint64_t breakpoints = 0;  // segments examined
   // Element moves performed by the sort-reuse repair pass (SortPolicy::

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -335,6 +337,94 @@ TEST(BreakpointSolver, ComplexityMatchesNLogN) {
     const double nlogn = static_cast<double>(n) * std::log2(double(n));
     EXPECT_GT(static_cast<double>(res.ops.comparisons), 0.5 * nlogn);
     EXPECT_LT(static_cast<double>(res.ops.comparisons), 4.0 * nlogn);
+  }
+}
+
+TEST(BreakpointSolver, LargeMarketOrderIsTheKeyLessOrder) {
+  // Above kInsertionThreshold kAuto radix-sorts an integer image of the
+  // breakpoints. The order it establishes must be the (b, arc index) total
+  // order of the comparison sorts, on exactly the inputs where an integer
+  // image could go wrong: all-tied markets (gamma = 1/x0 makes most
+  // first-sweep breakpoints exactly -2), both signs of zero (equal as
+  // doubles, so the index breaks their tie), heavy duplicates, subnormal and
+  // near-overflow magnitudes, and values of both signs.
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  const char* const kinds[] = {"tied", "signed_zeros", "duplicates",
+                               "extreme", "mixed_sign"};
+  const Arc pool[] = {{3.0, 0.5}, {-1.0, 2.0}, {0.0, 1.0}, {7.5, 1.5},
+                      {-4.0, 0.25}};
+  Rng rng(0x5EED);
+  for (std::size_t n : {129u, 130u, 257u, 1000u, 4096u}) {
+    for (const char* kind : kinds) {
+      const std::string k = kind;
+      std::vector<Arc> arcs(n);
+      for (auto& a : arcs) {
+        const double q = rng.Uniform(0.1, 5.0);
+        if (k == "tied") {
+          a = {2.0 * q, q};  // b = -2 exactly
+        } else if (k == "signed_zeros") {
+          const double r = rng.Uniform(0.0, 1.0);
+          a = {r < 0.4 ? 0.0 : r < 0.8 ? -0.0 : rng.Uniform(-5.0, 5.0), q};
+        } else if (k == "duplicates") {
+          a = pool[rng.NextIndex(5)];
+        } else if (k == "extreme") {
+          const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+          const double r = rng.Uniform(0.0, 1.0);
+          const double mag =
+              r < 0.25   ? rng.Uniform(1.0, 1e6) * 4.9406564584124654e-324
+              : r < 0.5  ? rng.Uniform(0.5, 2.0) * 1e-300
+              : r < 0.75 ? rng.Uniform(0.5, 2.0) * 1e300
+                         : rng.Uniform(0.0, 10.0);
+          a = {sign * mag, rng.Uniform(0.5, 2.0)};
+        } else {
+          a = {rng.Uniform(-100.0, 100.0), q};
+        }
+      }
+      double scale = 1.0;
+      for (const auto& a : arcs) scale += std::abs(a.p);
+      const double u = 0.25 * scale;
+
+      // Reference: std::sort of {b_j, j} by value, ties by index.
+      std::vector<double> b(n);
+      for (std::size_t j = 0; j < n; ++j) b[j] = -arcs[j].p / arcs[j].q;
+      std::vector<std::uint32_t> expected(n);
+      for (std::size_t j = 0; j < n; ++j) expected[j] = std::uint32_t(j);
+      std::sort(expected.begin(), expected.end(),
+                [&b](std::uint32_t x, std::uint32_t y) {
+                  return b[x] < b[y] || (b[x] == b[y] && x < y);
+                });
+
+      const std::string tag = "n=" + std::to_string(n) + " " + k;
+      BreakpointWorkspace ws;
+      ws.Assign(arcs);
+      MarketOrder order;
+      const auto established =
+          SolveMarket(ws, u, 0.0, SortPolicy::kReuse, &order);
+      EXPECT_FALSE(established.order_reused) << tag;
+      EXPECT_EQ(order.perm, expected) << tag;
+
+      for (double v : {0.0, -0.5}) {
+        const auto ra = SolveMarket(ws, u, v, SortPolicy::kAuto);
+        const auto rh = SolveMarket(ws, u, v, SortPolicy::kHeapsort);
+        const auto ri = SolveMarket(ws, u, v, SortPolicy::kInsertion);
+        EXPECT_TRUE(same_bits(ra.lambda, rh.lambda)) << tag << " v=" << v;
+        EXPECT_TRUE(same_bits(ra.lambda, ri.lambda)) << tag << " v=" << v;
+        EXPECT_EQ(ra.active_count, rh.active_count) << tag << " v=" << v;
+        EXPECT_EQ(ra.active_count, ri.active_count) << tag << " v=" << v;
+      }
+      const double lo = 0.1 * u, hi = 0.5 * u;
+      const auto ba = SolveMarketBox(ws, u, -0.5, lo, hi, SortPolicy::kAuto);
+      const auto bh =
+          SolveMarketBox(ws, u, -0.5, lo, hi, SortPolicy::kHeapsort);
+      const auto bi =
+          SolveMarketBox(ws, u, -0.5, lo, hi, SortPolicy::kInsertion);
+      EXPECT_TRUE(same_bits(ba.lambda, bh.lambda)) << tag << " box";
+      EXPECT_TRUE(same_bits(ba.lambda, bi.lambda)) << tag << " box";
+      EXPECT_EQ(ba.active_count, bh.active_count) << tag << " box";
+      EXPECT_EQ(ba.active_count, bi.active_count) << tag << " box";
+    }
   }
 }
 

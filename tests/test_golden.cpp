@@ -7,8 +7,12 @@
 //
 // The quadratic variants use only + - * / and max, so the fingerprints do not
 // depend on libm. Inputs come from Rng::Uniform, which is libm-free too.
-// Row markets of the fixed instance have 150 arcs, so the heapsort path runs
-// alongside straight insertion.
+// Row markets of the fixed instance have 150 arcs, so the radix path runs
+// alongside straight insertion. The tied instance follows Table 1's protocol
+// (gamma = 1/x0, totals twice the base sums) at 140x200: every row and column
+// market is above the insertion threshold, and in the first row sweep about
+// 86% of each market's breakpoints are exactly -2 (the rest are an ulp off),
+// so the tie order sets the order of its prefix sums.
 //
 // KernelTrajectory checks the path to those outputs on the same instances:
 // the pooled solve reproduces the serial one check by check (status,
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "core/diagonal_sea.hpp"
+#include "datasets/large_diagonal.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sparse/sparse_sea.hpp"
@@ -68,6 +73,11 @@ DiagonalProblem FixedProblem() {
   for (double& v : d0) v *= 1.25;
   return DiagonalProblem::MakeFixed(std::move(x0), std::move(gamma),
                                     std::move(s0), std::move(d0));
+}
+
+DiagonalProblem TiedFixedProblem() {
+  Rng rng(0x601D06);
+  return datasets::MakeLargeDiagonal(140, 200, rng);
 }
 
 DiagonalProblem ElasticProblem() {
@@ -159,6 +169,10 @@ class Golden : public ::testing::TestWithParam<std::size_t> {
 
 TEST_P(Golden, Fixed) {
   ExpectDense(FixedProblem(), 0xe9e0d05ebf4f8fcaull);
+}
+
+TEST_P(Golden, TiedFixed) {
+  ExpectDense(TiedFixedProblem(), 0xad10b4fdf45a8bc3ull);
 }
 
 TEST_P(Golden, Elastic) {
