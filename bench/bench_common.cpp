@@ -46,20 +46,20 @@ std::string IsoTimestampUtc() {
 }  // namespace
 
 BenchOptions ParseArgs(int argc, char** argv) {
-  BenchOptions opts;
+  BenchOptions parsed;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
-      opts.quick = true;
+      parsed.quick = true;
     } else if (std::strcmp(argv[i], "--progress") == 0) {
-      opts.progress = true;
+      parsed.progress = true;
     } else if (std::strcmp(argv[i], "--json-truncate") == 0) {
-      opts.json_truncate = true;
+      parsed.json_truncate = true;
     } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      opts.csv_path = argv[++i];
+      parsed.csv_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[++i];
+      parsed.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--profile-json") == 0 && i + 1 < argc) {
-      opts.profile_json = argv[++i];
+      parsed.profile_json = argv[++i];
     } else {
       std::cerr << "usage: " << argv[0]
                 << " [--quick] [--progress] [--csv <path>] [--json <path>]"
@@ -74,28 +74,16 @@ BenchOptions ParseArgs(int argc, char** argv) {
     g_run = new RunContext();
     g_run->profiler.Attach();
   }
-  return opts;
+  return parsed;
 }
 
-IterationCallback ProgressPrinter(std::string tag) {
-  return [tag = std::move(tag)](const IterationEvent& ev) {
-    std::cerr << tag << ": iter=" << ev.iteration << " residual=";
-    if (ev.measure_defined) {
-      std::cerr << ev.measure;
-    } else {
-      std::cerr << "n/a";
-    }
-    std::cerr << " row_s=" << ev.row_phase_seconds
-              << " col_s=" << ev.col_phase_seconds
-              << " check_s=" << ev.check_phase_seconds;
-    if (ev.converged) std::cerr << " (converged)";
-    std::cerr << '\n';
-  };
-}
-
-void MaybeAttachProgress(const BenchOptions& bench_opts, SeaOptions& opts,
-                         const std::string& tag) {
-  if (bench_opts.progress) opts.progress = ProgressPrinter(tag);
+std::unique_ptr<obs::ProgressPrinter> MaybeAttachProgress(
+    const BenchOptions& flags, SeaOptions& opts, const std::string& tag) {
+  if (!flags.progress) return nullptr;
+  auto printer = std::make_unique<obs::ProgressPrinter>(
+      std::cerr, tag, /*phase_seconds=*/true);
+  opts.observers.push_back(printer.get());
+  return printer;
 }
 
 void PrintHeader(const std::string& title, const std::string& protocol) {

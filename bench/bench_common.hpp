@@ -27,11 +27,13 @@
 // run by ParseArgs (obs/profiler.hpp).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "core/options.hpp"
 #include "io/experiment_record.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace sea::bench {
 
@@ -46,14 +48,11 @@ struct BenchOptions {
 
 BenchOptions ParseArgs(int argc, char** argv);
 
-// Engine per-iteration callback that streams "tag: iter=... residual=..."
-// lines to stderr (stdout carries the result tables). Wire into
-// SeaOptions::progress when BenchOptions::progress is set.
-IterationCallback ProgressPrinter(std::string tag);
-
-// Convenience: attaches ProgressPrinter to opts when requested.
-void MaybeAttachProgress(const BenchOptions& bench_opts, SeaOptions& opts,
-                         const std::string& tag);
+// With --progress, attaches a printer that streams "tag: iter=...
+// residual=... row_s=... col_s=... check_s=..." lines to stderr (stdout
+// carries the result tables) and returns it; keep it alive for the solve.
+std::unique_ptr<obs::ProgressPrinter> MaybeAttachProgress(
+    const BenchOptions& flags, SeaOptions& opts, const std::string& tag);
 
 // Prints the bench banner: which paper table/figure this regenerates, the
 // protocol line, and the host context.

@@ -174,9 +174,10 @@ void RunSamplerOverhead(const bench::BenchOptions& opts, ExperimentLog& log) {
     const auto p = datasets::MakeLargeDiagonal(n, n, rng);
     const auto solve_ms = [&](bool sampler_on) {
       obs::MetricsRegistry metrics;
+      obs::SolveMetrics solve_metrics(metrics);
       SeaOptions o;
       o.epsilon = 1e-8;
-      o.metrics = &metrics;
+      o.observers = {&solve_metrics};
       obs::MetricsSampler sampler(&metrics);  // default 250 ms cadence
       if (sampler_on) sampler.Start();
       Stopwatch sw;

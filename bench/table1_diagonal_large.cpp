@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
     sea_opts.sort_policy = SortPolicy::kHeapsort;
     const std::string dims =
         std::to_string(row.n) + " x " + std::to_string(row.n);
-    bench::MaybeAttachProgress(opts, sea_opts, "table1 " + dims);
+    const auto progress =
+        bench::MaybeAttachProgress(opts, sea_opts, "table1 " + dims);
     const auto run = SolveDiagonal(problem, sea_opts);
 
     const auto rep = CheckFeasibility(problem, run.solution);

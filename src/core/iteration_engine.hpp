@@ -15,13 +15,12 @@
 //   check phase     Step 3, convergence verification (serial; Section 4.2)
 //   RebalanceDuals  the Modified Algorithm's gauge shift (Section 3.1)
 //
-// The engine is also the instrumentation point: on every check iteration it
-// builds one IterationEvent (residual trajectory, phase times, op deltas)
-// and hands it to SeaOptions::progress and SeaOptions::trace_sink, and it
-// accumulates counters/histograms into SeaOptions::metrics — the hooks
-// future acceleration / stagnation-detection layers (Allen-Zhu et al. 2017;
-// Aristodemo & Gemignani 2018) attach to. All three observers are optional
-// and cost nothing when unset (docs/OBSERVABILITY.md).
+// The engine is also the instrumentation point: it hands the start, one
+// IterationEvent per check, each guardrail trip, recovery and checkpoint
+// write, and the end to every SeaOptions::observers entry
+// (core/solve_observer.hpp) — where the trace, status file, flight
+// recorder and metrics subscribe, and where acceleration / stagnation
+// layers (Allen-Zhu et al. 2017; Aristodemo & Gemignani 2018) will.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <vector>
 
 #include "equilibration/breakpoint_solver.hpp"
 #include "parallel/schedule.hpp"
@@ -14,13 +14,10 @@ namespace sea {
 class ThreadPool;
 class CheckpointWriter;
 struct CheckpointState;
+class SolveObserver;
 
 namespace obs {
-class TraceSink;
-class MetricsRegistry;
 class MarketAttribution;
-class FlightRecorder;
-class StatusFileWriter;
 }  // namespace obs
 
 // Stopping rules used in the paper's experiments.
@@ -38,11 +35,11 @@ enum class StopCriterion {
 
 const char* ToString(StopCriterion c);
 
-// Snapshot handed to SeaOptions::progress — and to the structured trace
-// sink (obs/trace_sink.hpp) — on every check iteration of the shared
-// iteration engine (core/iteration_engine.hpp). This is the attachment
-// point for progress reporting and, later, acceleration / stagnation
-// heuristics that need the residual trajectory.
+// Snapshot handed to every SeaOptions::observers entry on each check
+// iteration of the shared engine (SolveObserver::OnCheck,
+// core/solve_observer.hpp): the residual trajectory that progress lines,
+// the trace, the status file, the flight recorder and the live metrics are
+// built from, and that acceleration / stagnation heuristics will need.
 struct IterationEvent {
   std::size_t iteration = 0;
   // False on the first kXChange check, where no previous iterate exists yet
@@ -62,8 +59,6 @@ struct IterationEvent {
   OpCounts ops_delta;
   OpCounts ops_total;
 };
-
-using IterationCallback = std::function<void(const IterationEvent&)>;
 
 struct SeaOptions {
   double epsilon = 1e-2;
@@ -119,17 +114,9 @@ struct SeaOptions {
   // stall_checks = 0 disables the detector.
   std::size_t stall_checks = 50;
   double stall_rtol = 1e-9;
-  // Invoked by the iteration engine on check iterations only (never on
-  // skipped iterations). Empty = no reporting overhead.
-  IterationCallback progress;
-  // Structured trace sink (obs/trace_sink.hpp): receives the same per-check
-  // events as `progress`, plus one event per general-SEA projection step.
-  // Null = no tracing overhead.
-  obs::TraceSink* trace_sink = nullptr;
-  // Metrics registry (obs/metrics.hpp): the engine accumulates op counters,
-  // phase-seconds gauges, and per-check residual / check-interval
-  // histograms into it. Null = no metrics overhead.
-  obs::MetricsRegistry* metrics = nullptr;
+  // Solve observers (core/solve_observer.hpp): each gets every engine and
+  // general-SEA event, in list order. Empty = no observing overhead.
+  std::vector<SolveObserver*> observers;
   // Per-market attribution table (obs/market_stats.hpp): the backend sizes
   // it for the problem, the sweeps record per-market solve tallies, and the
   // engine commits residual contributions + active-set churn at every check
@@ -137,14 +124,6 @@ struct SeaOptions {
   // one branch per market). Exported via sea_solve --attribution-json and
   // summarized by tools/market_report.
   obs::MarketAttribution* attribution = nullptr;
-  // Flight recorder (obs/flight_recorder.hpp): receives begin/check/
-  // guardrail/termination events; on a guardrail failure (stall, breakdown,
-  // cancel, time budget) it dumps a postmortem if a dump path is set.
-  // Null = no recording.
-  obs::FlightRecorder* flight_recorder = nullptr;
-  // Live status snapshot (obs/status_file.hpp): rewritten atomically on
-  // check iterations and at termination. Null = no status file.
-  obs::StatusFileWriter* status_file = nullptr;
   // Durability + self-healing (core/checkpoint.hpp; docs/ROBUSTNESS.md).
   // Checkpoint writer: the engine captures the full resume state (dual
   // iterate, kXChange snapshot, stall-detector + recovery-ladder state) at

@@ -91,52 +91,17 @@ struct TopLevel {
   std::vector<std::pair<std::string, std::string>> arrays;  // name -> "[..]"
 };
 
+// Named arrays are kept whole; unknown nested objects are skipped.
 TopLevel SplitTopLevel(const std::string& line) {
   TopLevel out;
   std::string flat_body;
-  std::size_t i = 0;
-  SkipWs(line, i);
-  SEA_CHECK_MSG(i < line.size() && line[i] == '{',
-                "bench document must be a JSON object");
-  ++i;
-  for (;;) {
-    SkipWs(line, i);
-    if (i >= line.size())
-      throw InvalidArgument("unterminated bench document");
-    if (line[i] == '}') break;
-    if (line[i] == ',') {
-      ++i;
-      continue;
-    }
-    const std::size_t key_start = i;
-    SkipString(line, i);
-    const std::string key_json = line.substr(key_start, i - key_start);
-    SkipWs(line, i);
-    SEA_CHECK_MSG(i < line.size() && line[i] == ':',
-                  "expected ':' in bench document");
-    ++i;
-    SkipWs(line, i);
-    if (i >= line.size())
-      throw InvalidArgument("truncated bench document value");
-    if (line[i] == '[') {
-      // Strip the quotes off the key for the array name.
-      out.arrays.emplace_back(key_json.substr(1, key_json.size() - 2),
-                              SkipBalanced(line, i));
-    } else if (line[i] == '{') {
-      SkipBalanced(line, i);  // unknown nested object: tolerate, skip
-    } else {
-      const std::size_t val_start = i;
-      if (line[i] == '"') {
-        SkipString(line, i);
-      } else {
-        while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      }
-      std::string value = line.substr(val_start, i - val_start);
-      while (!value.empty() &&
-             (value.back() == ' ' || value.back() == '\t'))
-        value.pop_back();
+  for (auto& [key, value] : JsonObjectFields(line)) {
+    const char first = value.empty() ? '\0' : value.front();
+    if (first == '[') {
+      out.arrays.emplace_back(key, std::move(value));
+    } else if (first != '{') {
       if (!flat_body.empty()) flat_body += ',';
-      flat_body += key_json + ":" + value;
+      flat_body += "\"" + key + "\":" + value;
     }
   }
   out.flat = "{" + flat_body + "}";

@@ -1,9 +1,12 @@
 #include "obs/flight_recorder.hpp"
 
+#include <cmath>
 #include <ios>
+#include <limits>
 #include <ostream>
 #include <utility>
 
+#include "core/checkpoint.hpp"
 #include "obs/json_export.hpp"
 #include "support/atomic_file.hpp"
 #include "support/check.hpp"
@@ -40,19 +43,48 @@ void FlightRecorder::Record(EventKind kind, std::size_t iteration,
   ++recorded_;
 }
 
-void FlightRecorder::OnTermination(SolveStatus status, std::size_t iterations,
-                                   double final_residual, double wall_seconds,
-                                   std::uint64_t recovered) {
-  Record(EventKind::kTermination, iterations, final_residual);
-  last_status_ = status;
-  iterations_ = iterations;
-  final_residual_ = final_residual;
-  wall_seconds_ = wall_seconds;
-  recovered_ = recovered;
-  const bool failure_class = status == SolveStatus::kStalled ||
-                             status == SolveStatus::kNumericalBreakdown ||
-                             status == SolveStatus::kCancelled ||
-                             status == SolveStatus::kTimeBudgetExceeded;
+void FlightRecorder::OnBegin(const SeaOptions& opts) {
+  Record(EventKind::kBegin, 0, static_cast<double>(opts.max_iterations));
+  if (opts.resume != nullptr)
+    Record(EventKind::kResume,
+           static_cast<std::size_t>(opts.resume->iteration),
+           opts.resume->final_residual);
+}
+
+void FlightRecorder::OnCheck(const IterationEvent& ev) {
+  if (ev.measure_defined && std::isfinite(ev.measure)) {
+    last_good_iteration_ = ev.iteration;
+    last_good_measure_ = ev.measure;
+    have_good_ = true;
+  }
+  Record(EventKind::kCheck, ev.iteration,
+         ev.measure_defined ? ev.measure
+                            : std::numeric_limits<double>::quiet_NaN());
+}
+
+void FlightRecorder::OnGuardrail(SolveStatus trip, std::size_t iteration,
+                                 double value) {
+  Record(trip == SolveStatus::kNumericalBreakdown ? EventKind::kBreakdown
+         : trip == SolveStatus::kStalled          ? EventKind::kStallTrip
+         : trip == SolveStatus::kCancelled        ? EventKind::kCancelPoll
+                                                  : EventKind::kBudgetPoll,
+         iteration, value);
+}
+
+void FlightRecorder::OnRecovery(std::size_t iteration, std::uint8_t rung,
+                                std::uint64_t /*recovered*/) {
+  Record(EventKind::kRecovery, iteration, static_cast<double>(rung));
+}
+
+void FlightRecorder::OnEnd(const SolveEnd& end) {
+  Record(EventKind::kTermination, end.iterations, end.final_measure);
+  end_ = end;
+  end_.engine = nullptr;  // the results do not outlive the solve
+  end_.general = nullptr;
+  const bool failure_class = end.status == SolveStatus::kStalled ||
+                             end.status == SolveStatus::kNumericalBreakdown ||
+                             end.status == SolveStatus::kCancelled ||
+                             end.status == SolveStatus::kTimeBudgetExceeded;
   if (failure_class && !dump_path_.empty())
     dumped_ = WritePostmortem(dump_path_);
 }
@@ -74,11 +106,11 @@ bool FlightRecorder::WritePostmortem(const std::string& path) const {
     f << JsonObj()
              .Field("schema", kTelemetrySchemaVersion)
              .Field("type", "postmortem")
-             .Field("status", sea::ToString(last_status_))
-             .Field("iterations", static_cast<std::uint64_t>(iterations_))
-             .Field("final_residual", final_residual_)
-             .Field("wall_seconds", wall_seconds_)
-             .Field("recovered", recovered_)
+             .Field("status", sea::ToString(end_.status))
+             .Field("iterations", static_cast<std::uint64_t>(end_.iterations))
+             .Field("final_residual", end_.final_measure)
+             .Field("wall_seconds", end_.wall_seconds)
+             .Field("recovered", end_.recovered)
              .Field("events_recorded", static_cast<std::uint64_t>(recorded_))
              .Field("events_dropped",
                     static_cast<std::uint64_t>(recorded_ - kept))

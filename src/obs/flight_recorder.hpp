@@ -1,21 +1,17 @@
 // In-memory flight recorder for solver postmortems (docs/ROBUSTNESS.md,
 // docs/OBSERVABILITY.md "Flight recorder").
 //
-// The guardrail statuses (stalled, numerical-breakdown, cancelled,
-// time-budget-exceeded) used to surface as a bare enum with no evidence
-// trail. The FlightRecorder keeps a fixed-capacity ring of recent engine
-// events (begin/check/breakdown/stall/guardrail/termination) plus a
-// last-good-iterate summary; when a solve terminates in one of the four
-// guardrail failure classes and a dump path is set, it writes the ring
-// atomically (temp file + rename) to a JSONL postmortem that the flat trace
-// parser (obs/trace_reader.hpp) can read back.
+// A solve observer (core/solve_observer.hpp) that keeps a fixed-capacity
+// ring of recent solve events plus a last-good-iterate summary. When a
+// solve ends in one of the four guardrail failure classes (stalled,
+// numerical-breakdown, cancelled, time-budget-exceeded) and a dump path is
+// set, it writes the ring atomically (temp file + rename) to a JSONL
+// postmortem that the flat trace parser (obs/trace_reader.hpp) reads back.
 //
-// Recording is O(1) per event into preallocated storage, single-threaded
-// (the engine records only from the solve thread, never inside a sweep),
-// and the ring survives across chained solves (general SEA's inner runs),
-// so the postmortem shows the events leading up to the failure even when
-// the failing solve was warm-started. Pay-for-use as usual:
-// SeaOptions::flight_recorder is null by default.
+// Recording is O(1) per event into preallocated storage, and the ring
+// survives across chained solves (general SEA's inner runs, whose outer
+// end comes last), so the postmortem shows the events leading up to the
+// failure even when the failing solve was warm-started.
 #pragma once
 
 #include <cstddef>
@@ -23,12 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "core/solve_observer.hpp"
 #include "core/solve_status.hpp"
 #include "support/stopwatch.hpp"
 
 namespace sea::obs {
 
-class FlightRecorder {
+class FlightRecorder : public SolveObserver {
  public:
   // Kinds of recorded events; serialized under these stable names.
   enum class EventKind : std::uint8_t {
@@ -50,21 +47,20 @@ class FlightRecorder {
   void SetDumpPath(std::string path) { dump_path_ = std::move(path); }
   const std::string& dump_path() const { return dump_path_; }
 
-  // Engine hooks (solve thread only).
   void Record(EventKind kind, std::size_t iteration, double value);
-  void NoteGoodIterate(std::size_t iteration, double measure) {
-    last_good_iteration_ = iteration;
-    last_good_measure_ = measure;
-    have_good_ = true;
-  }
-  // Records the termination event and, when `status` is one of the four
+
+  // A check with a finite measure also becomes the last-good iterate.
+  void OnBegin(const SeaOptions& opts) override;
+  void OnCheck(const IterationEvent& ev) override;
+  void OnGuardrail(SolveStatus trip, std::size_t iteration,
+                   double value) override;
+  void OnRecovery(std::size_t iteration, std::uint8_t rung,
+                  std::uint64_t recovered) override;
+  // Records the termination event and, when the status is one of the four
   // guardrail failure classes and a dump path is set, writes the
-  // postmortem. `recovered` is the run's recovery-ladder rescue count
-  // (surfaced in the postmortem header: "the ladder rescued N trips before
-  // this one ended the run").
-  void OnTermination(SolveStatus status, std::size_t iterations,
-                     double final_residual, double wall_seconds,
-                     std::uint64_t recovered = 0);
+  // postmortem. Its header carries end.recovered: "the ladder rescued N
+  // trips before this one ended the run".
+  void OnEnd(const SolveEnd& end) override;
 
   // Writes the postmortem JSONL (header, last-good summary, ring events
   // oldest to newest) atomically. Fail-soft: returns false and leaves any
@@ -88,11 +84,7 @@ class FlightRecorder {
   std::size_t recorded_ = 0;  // total events ever recorded
   Stopwatch clock_;           // one time base across chained solves
   std::string dump_path_;
-  SolveStatus last_status_ = SolveStatus::kMaxIterations;
-  double wall_seconds_ = 0.0;
-  std::size_t iterations_ = 0;
-  double final_residual_ = 0.0;
-  std::uint64_t recovered_ = 0;
+  SolveEnd end_;  // the latest end, without its result pointers
   std::size_t last_good_iteration_ = 0;
   double last_good_measure_ = 0.0;
   bool have_good_ = false;

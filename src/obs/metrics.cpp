@@ -5,7 +5,10 @@
 #include <limits>
 #include <ostream>
 
+#include "core/checkpoint.hpp"
+#include "core/result.hpp"
 #include "obs/json_export.hpp"
+#include "obs/market_stats.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/check.hpp"
 
@@ -289,6 +292,105 @@ void WritePrometheus(std::ostream& os, const MetricsSnapshot& snapshot) {
 
 void MetricsRegistry::WritePrometheus(std::ostream& os) const {
   obs::WritePrometheus(os, Snapshot());
+}
+
+// ------------------------------------------------------------ solve metrics
+
+void SolveMetrics::OnBegin(const SeaOptions& opts) {
+  attribution_ = opts.attribution;
+  // Decade buckets for the residual trajectory, which spans many orders of
+  // magnitude between the first check and convergence; and the gap between
+  // consecutive checks in iterations (check_every, or less at the last).
+  residual_ = &registry_.GetHistogram(
+      "sea.check.residual",
+      {1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6});
+  interval_ = &registry_.GetHistogram("sea.check.interval_iters",
+                                      {1, 2, 4, 8, 16, 32, 64, 128});
+  const char* progress[] = {"sea.iterations",      "sea.checks_compared",
+                            "sea.ops.flops",       "sea.ops.comparisons",
+                            "sea.ops.breakpoints", "sea.ops.inversions"};
+  for (std::size_t k = 0; k < progress_.size(); ++k)
+    progress_[k] = &registry_.GetCounter(progress[k]);
+  // A resumed solve's counters, like its result, count from the start of
+  // the run; its first check interval counts from the checkpoint.
+  committed_.fill(0);
+  last_check_ = 0;
+  if (opts.resume != nullptr) {
+    last_check_ = static_cast<std::size_t>(opts.resume->iteration);
+    registry_.GetCounter("sea.checkpoint.resumes").Add(1);
+  }
+}
+
+void SolveMetrics::OnCheck(const IterationEvent& ev) {
+  if (ev.measure_defined && std::isfinite(ev.measure))
+    residual_->Observe(ev.measure);
+  interval_->Observe(static_cast<double>(ev.iteration - last_check_));
+  last_check_ = ev.iteration;
+  Commit(ev.iteration, ev.checks_compared, ev.ops_total);
+}
+
+void SolveMetrics::OnRecovery(std::size_t /*iteration*/, std::uint8_t rung,
+                              std::uint64_t /*recovered*/) {
+  registry_.GetCounter("sea.recovery.rescues").Add(1);
+  registry_.GetCounter(std::string("sea.recovery.rung.") +
+                       RecoveryRungName(rung))
+      .Add(1);
+  registry_.GetGauge("sea.recovery.active_rung")
+      .Set(static_cast<double>(rung));
+}
+
+void SolveMetrics::OnCheckpoint(bool wrote) {
+  registry_
+      .GetCounter(wrote ? "sea.checkpoint.writes"
+                        : "sea.checkpoint.write_failures")
+      .Add(1);
+}
+
+void SolveMetrics::OnEnd(const SolveEnd& end) {
+  MetricsRegistry& m = registry_;
+  if (end.general != nullptr) {
+    const GeneralSeaResult& g = *end.general;
+    m.GetCounter("sea.general.outer_iterations").Add(g.outer_iterations);
+    m.GetGauge("sea.general.linearization_seconds")
+        .Add(g.linearization_seconds);
+    m.GetGauge("sea.general.final_outer_change").Set(g.final_outer_change);
+    m.GetGauge("sea.general.converged").Set(g.converged() ? 1.0 : 0.0);
+    return;
+  }
+  const SeaResult& r = *end.engine;
+  Commit(r.iterations, r.checks_compared, r.ops);
+  m.GetCounter("sea.sweep.order_reuses").Add(r.order_reuses);
+  m.GetCounter("sea.kernel.markets").Add(r.kernel_markets);
+  m.GetCounter("sea.solves").Add(1);
+  if (r.converged()) m.GetCounter("sea.solves_converged").Add(1);
+  m.GetCounter(std::string("solver.status.") + ToString(r.status)).Add(1);
+  // Phase seconds accumulate across solves (the general algorithm runs one
+  // engine solve per projection step).
+  m.GetGauge("sea.row_phase_seconds").Add(r.row_phase_seconds);
+  m.GetGauge("sea.col_phase_seconds").Add(r.col_phase_seconds);
+  m.GetGauge("sea.check_phase_seconds").Add(r.check_phase_seconds);
+  m.GetGauge("sea.wall_seconds").Add(r.wall_seconds);
+  m.GetGauge("sea.cpu_seconds").Add(r.cpu_seconds);
+  m.GetGauge("sea.final_residual").Set(r.final_residual);
+  m.GetGauge("sea.converged").Set(r.converged() ? 1.0 : 0.0);
+  if (attribution_ != nullptr) {
+    // Attribution summary: population, committed checks, per-market
+    // solves, and total active-set churn.
+    m.GetCounter("sea.market.tracked").Add(attribution_->markets());
+    m.GetCounter("sea.market.checks").Add(attribution_->checks().size());
+    m.GetCounter("sea.market.solves").Add(attribution_->total_solves());
+    m.GetCounter("sea.market.churn").Add(attribution_->total_churn());
+  }
+}
+
+void SolveMetrics::Commit(std::size_t iterations, std::size_t checks,
+                          const OpCounts& ops) {
+  const std::array<std::uint64_t, 6> totals = {
+      iterations, checks, ops.flops, ops.comparisons, ops.breakpoints,
+      ops.inversions};
+  for (std::size_t k = 0; k < totals.size(); ++k)
+    progress_[k]->Add(totals[k] - committed_[k]);
+  committed_ = totals;
 }
 
 // --------------------------------------------------------- pool utilization

@@ -5,15 +5,16 @@
 // (docs/OBSERVABILITY.md). Counters and histograms are sharded: each thread
 // increments a cache-line-private slot chosen once per thread, so the hot
 // path is an uncontended relaxed fetch_add; Snapshot() merges the shards.
-// Solvers carry the registry as an optional pointer (SeaOptions::metrics) —
-// a null registry costs nothing, matching the repository rule that
-// telemetry is pay-for-use only.
+// A solve fills a registry through a SolveMetrics observer (below); a solve
+// without one costs nothing, matching the repository rule that telemetry is
+// pay-for-use only.
 //
 // Metric names are dotted lowercase paths ("sea.check.residual",
 // "pool.region_wall_seconds"); the full catalogue lives in
 // docs/OBSERVABILITY.md and is append-only across PRs.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
@@ -23,11 +24,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/solve_observer.hpp"
+#include "support/op_counter.hpp"
+
 namespace sea {
 
 struct PoolStats;
 
 namespace obs {
+
+class MarketAttribution;
 
 namespace internal {
 
@@ -156,6 +162,35 @@ class MetricsRegistry {
   std::vector<Entry<Counter>> counters_;
   std::vector<Entry<Gauge>> gauges_;
   std::vector<Entry<Histogram>> histograms_;
+};
+
+// A solve observer (core/solve_observer.hpp) that writes the sea.* metrics
+// of docs/OBSERVABILITY.md. Progress counters are committed check to check,
+// so a /metrics scrape or the sampler sees a running solve move. It holds
+// per-solve state: concurrent solves sharing a registry each attach one.
+class SolveMetrics : public SolveObserver {
+ public:
+  explicit SolveMetrics(MetricsRegistry& registry) : registry_(registry) {}
+
+  void OnBegin(const SeaOptions& opts) override;
+  void OnCheck(const IterationEvent& ev) override;
+  void OnRecovery(std::size_t iteration, std::uint8_t rung,
+                  std::uint64_t recovered) override;
+  void OnCheckpoint(bool wrote) override;
+  void OnEnd(const SolveEnd& end) override;
+
+ private:
+  // Adds each progress counter's growth since the last commit.
+  void Commit(std::size_t iterations, std::size_t checks, const OpCounts& ops);
+
+  MetricsRegistry& registry_;
+  const MarketAttribution* attribution_ = nullptr;
+  // Resolved at OnBegin, since Get*() takes the registry lock.
+  Histogram* residual_ = nullptr;
+  Histogram* interval_ = nullptr;
+  std::array<Counter*, 6> progress_{};  // iterations, checks, four op kinds
+  std::array<std::uint64_t, 6> committed_{};
+  std::size_t last_check_ = 0;
 };
 
 // Registers a ThreadPool utilization snapshot (parallel/thread_pool.hpp)

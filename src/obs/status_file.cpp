@@ -26,19 +26,20 @@ std::string RenderStatusJson(const StatusSnapshot& snap) {
       .Field("type", "status")
       .Field("phase", snap.phase);
   if (*snap.status != '\0') obj.Field("status", snap.status);
-  obj.Field("iter", snap.iteration)
-      .Field("measure_defined", snap.measure_defined)
-      .Field("measure", snap.measure_defined ? snap.measure : kNan)
-      .Field("converged", snap.converged)
-      .Field("checks_compared", snap.checks_compared)
+  const IterationEvent& ev = snap.check;
+  obj.Field("iter", ev.iteration)
+      .Field("measure_defined", ev.measure_defined)
+      .Field("measure", ev.measure_defined ? ev.measure : kNan)
+      .Field("converged", ev.converged)
+      .Field("checks_compared", ev.checks_compared)
       .Field("epsilon", snap.epsilon)
       // NaN renders as null: "no estimate yet" is distinguishable from 0.
       .Field("eta_iterations", snap.eta_iterations)
       .Field("eta_seconds", snap.eta_seconds)
       .Field("elapsed_seconds", snap.elapsed_seconds)
-      .Field("row_phase_seconds", snap.row_phase_seconds)
-      .Field("col_phase_seconds", snap.col_phase_seconds)
-      .Field("check_phase_seconds", snap.check_phase_seconds)
+      .Field("row_phase_seconds", ev.row_phase_seconds)
+      .Field("col_phase_seconds", ev.col_phase_seconds)
+      .Field("check_phase_seconds", ev.check_phase_seconds)
       .Field("recoveries", snap.recoveries);
   if (*snap.last_recovery_rung != '\0')
     obj.Field("last_recovery_rung", snap.last_recovery_rung)
@@ -48,20 +49,22 @@ std::string RenderStatusJson(const StatusSnapshot& snap) {
 
 StatusFileWriter::StatusFileWriter(std::string path, double epsilon,
                                    double min_interval_seconds)
-    : path_(std::move(path)),
-      epsilon_(epsilon),
-      min_interval_(min_interval_seconds),
-      eta_iterations_(kNan) {
+    : path_(std::move(path)), min_interval_(min_interval_seconds) {
+  snap_.epsilon = epsilon;
+  snap_.eta_iterations = kNan;
+  snap_.eta_seconds = kNan;
   // /statusz must answer before the first check fires.
-  latest_json_ = RenderStatusJson(BuildSnapshot(last_event_, "starting", ""));
+  snap_.elapsed_seconds = clock_.Seconds();
+  latest_json_ = RenderStatusJson(snap_);
 }
 
 void StatusFileWriter::OnCheck(const IterationEvent& ev) {
-  last_event_ = ev;
+  snap_.check = ev;
   if (ev.measure_defined && std::isfinite(ev.measure)) {
     if (have_prev_)
-      eta_iterations_ = SanitizeEta(EstimateItersToEpsilon(
-          prev_iteration_, prev_measure_, ev.iteration, ev.measure, epsilon_));
+      snap_.eta_iterations = SanitizeEta(
+          EstimateItersToEpsilon(prev_iteration_, prev_measure_, ev.iteration,
+                                 ev.measure, snap_.epsilon));
     prev_iteration_ = ev.iteration;
     prev_measure_ = ev.measure;
     have_prev_ = true;
@@ -69,57 +72,35 @@ void StatusFileWriter::OnCheck(const IterationEvent& ev) {
   const double now = clock_.Seconds();
   if (last_write_seconds_ >= 0.0 && now - last_write_seconds_ < min_interval_)
     return;  // throttled; the snapshot catches up at the next check
-  if (Publish(ev, "iterating", "")) last_write_seconds_ = now;
+  if (Publish("iterating", "")) last_write_seconds_ = now;
 }
 
-void StatusFileWriter::OnTermination(SolveStatus status) {
-  Publish(last_event_, "terminated", sea::ToString(status));
+void StatusFileWriter::OnEnd(const SolveEnd& end) {
+  Publish("terminated", sea::ToString(end.status));
 }
 
-void StatusFileWriter::OnRecovery(std::size_t iteration, const char* rung,
-                                  std::uint64_t recovered_count) {
-  recovered_count_ = recovered_count;
-  last_recovery_rung_ = rung;
-  last_recovery_iteration_ = iteration;
+void StatusFileWriter::OnRecovery(std::size_t iteration, std::uint8_t rung,
+                                  std::uint64_t recovered) {
+  snap_.recoveries = recovered;
+  snap_.last_recovery_rung = RecoveryRungName(rung);
+  snap_.last_recovery_iteration = iteration;
   // Bypass the throttle: a rescue must be visible live, not a throttle
   // interval later.
-  if (Publish(last_event_, "recovering", ""))
-    last_write_seconds_ = clock_.Seconds();
+  if (Publish("recovering", "")) last_write_seconds_ = clock_.Seconds();
 }
 
-StatusSnapshot StatusFileWriter::BuildSnapshot(const IterationEvent& ev,
-                                               const char* phase,
-                                               const char* status) const {
+bool StatusFileWriter::Publish(const char* phase, const char* status) {
   const double elapsed = clock_.Seconds();
-  StatusSnapshot snap;
-  snap.phase = phase;
-  snap.status = status;
-  snap.iteration = static_cast<std::uint64_t>(ev.iteration);
-  snap.measure_defined = ev.measure_defined;
-  snap.measure = ev.measure;
-  snap.converged = ev.converged;
-  snap.checks_compared = static_cast<std::uint64_t>(ev.checks_compared);
-  snap.epsilon = epsilon_;
-  snap.eta_iterations = SanitizeEta(eta_iterations_);
+  const std::size_t iteration = snap_.check.iteration;
+  snap_.phase = phase;
+  snap_.status = status;
   // Seconds-per-iteration so far scales the iteration ETA to wall time.
-  snap.eta_seconds = SanitizeEta(
-      ev.iteration > 0
-          ? snap.eta_iterations * (elapsed / static_cast<double>(ev.iteration))
-          : kNan);
-  snap.elapsed_seconds = elapsed;
-  snap.row_phase_seconds = ev.row_phase_seconds;
-  snap.col_phase_seconds = ev.col_phase_seconds;
-  snap.check_phase_seconds = ev.check_phase_seconds;
-  snap.recoveries = recovered_count_;
-  snap.last_recovery_rung = last_recovery_rung_;
-  snap.last_recovery_iteration =
-      static_cast<std::uint64_t>(last_recovery_iteration_);
-  return snap;
-}
-
-bool StatusFileWriter::Publish(const IterationEvent& ev, const char* phase,
-                               const char* status) {
-  const std::string line = RenderStatusJson(BuildSnapshot(ev, phase, status));
+  snap_.eta_seconds = SanitizeEta(
+      iteration > 0 ? snap_.eta_iterations *
+                          (elapsed / static_cast<double>(iteration))
+                    : kNan);
+  snap_.elapsed_seconds = elapsed;
+  const std::string line = RenderStatusJson(snap_);
   {
     std::lock_guard lk(latest_mu_);
     latest_json_ = line;

@@ -2,14 +2,15 @@
 // /statusz endpoint (docs/OBSERVABILITY.md, "Live status file").
 //
 // A long-running solve is a black box to the outside world until it
-// returns. StatusFileWriter receives the engine's per-check IterationEvents
-// and maintains a single-line flat-JSON snapshot — iteration, stopping
-// measure, phase seconds, and an ETA extrapolated from the geometric
-// convergence rate of the last two defined measures (core/stopping.hpp,
-// EstimateItersToEpsilon). Construction and publication are split:
+// returns. StatusFileWriter observes the solve (core/solve_observer.hpp)
+// and keeps a single-line flat-JSON snapshot of its latest check —
+// iteration, stopping measure, phase seconds — with an ETA extrapolated
+// from the geometric convergence rate of the last two defined measures
+// (core/stopping.hpp, EstimateItersToEpsilon). Construction and publication
+// are split:
 //
-//   * BuildSnapshot() -> StatusSnapshot: the point-in-time struct, with
-//     the ETA already sanitized (never Inf/negative — NaN means "no
+//   * StatusSnapshot: the point-in-time struct the writer keeps current,
+//     with the ETA already sanitized (never Inf/negative — NaN means "no
 //     estimate", rendered as JSON null);
 //   * RenderStatusJson(snapshot): the one serializer, so the status FILE
 //     and the /statusz ENDPOINT emit byte-identical schemas;
@@ -22,8 +23,8 @@
 //
 // A path-less writer (path == "") skips the file entirely and only serves
 // LatestJson() — how `sea_solve --listen` exposes /statusz without
-// requiring --status-file. Pay-for-use: SeaOptions::status_file is null by
-// default.
+// requiring --status-file. Pay-for-use: attach it to SeaOptions::observers
+// only when wanted.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +33,7 @@
 #include <string>
 
 #include "core/options.hpp"
+#include "core/solve_observer.hpp"
 #include "core/solve_status.hpp"
 #include "support/stopwatch.hpp"
 
@@ -44,18 +46,11 @@ struct StatusSnapshot {
   const char* phase = "starting";  // "starting"/"iterating"/"recovering"/
                                    // "terminated"
   const char* status = "";         // SolveStatus name once terminated
-  std::uint64_t iteration = 0;
-  bool measure_defined = false;
-  double measure = 0.0;
-  bool converged = false;
-  std::uint64_t checks_compared = 0;
+  IterationEvent check;            // the latest check
   double epsilon = 0.0;
   double eta_iterations = 0.0;  // NaN = no estimate
   double eta_seconds = 0.0;     // NaN = no estimate
   double elapsed_seconds = 0.0;
-  double row_phase_seconds = 0.0;
-  double col_phase_seconds = 0.0;
-  double check_phase_seconds = 0.0;
   std::uint64_t recoveries = 0;
   const char* last_recovery_rung = "";  // "" = never recovered
   std::uint64_t last_recovery_iteration = 0;
@@ -70,21 +65,21 @@ std::string RenderStatusJson(const StatusSnapshot& snap);
 // through; everything else becomes NaN. Exposed for tests.
 double SanitizeEta(double eta);
 
-class StatusFileWriter {
+class StatusFileWriter : public SolveObserver {
  public:
   // `epsilon` is the solve's stopping tolerance (feeds the ETA model).
   // An empty `path` disables the file and keeps only LatestJson().
   StatusFileWriter(std::string path, double epsilon,
                    double min_interval_seconds = 0.05);
 
-  // Engine hooks (solve thread only).
-  void OnCheck(const IterationEvent& ev);
-  void OnTermination(SolveStatus status);
+  // Each end writes "terminated"; general SEA's outer end comes last.
+  void OnCheck(const IterationEvent& ev) override;
+  void OnEnd(const SolveEnd& end) override;
   // Recovery-ladder transition (docs/ROBUSTNESS.md): recorded into every
   // later snapshot and written through immediately — a rescue is exactly
   // the moment a dashboard must not be a throttle interval behind.
-  void OnRecovery(std::size_t iteration, const char* rung,
-                  std::uint64_t recovered_count);
+  void OnRecovery(std::size_t iteration, std::uint8_t rung,
+                  std::uint64_t recovered) override;
 
   // Latest rendered snapshot line — what /statusz serves. Thread-safe
   // against the solve thread; before the first check it renders a
@@ -95,13 +90,11 @@ class StatusFileWriter {
   std::size_t writes() const { return writes_; }
 
  private:
-  StatusSnapshot BuildSnapshot(const IterationEvent& ev, const char* phase,
-                               const char* status) const;
-  bool Publish(const IterationEvent& ev, const char* phase,
-               const char* status);
+  // Stamps snap_ with `phase`, `status` and the clock, then renders and
+  // writes it.
+  bool Publish(const char* phase, const char* status);
 
   std::string path_;
-  double epsilon_;
   double min_interval_;
   Stopwatch clock_;
   double last_write_seconds_ = -1.0;
@@ -110,12 +103,8 @@ class StatusFileWriter {
   std::size_t prev_iteration_ = 0;
   double prev_measure_ = 0.0;
   bool have_prev_ = false;
-  double eta_iterations_ = 0.0;  // NaN until estimable
-  IterationEvent last_event_;
-  // Recovery-ladder surface: cumulative rescues + the latest rung.
-  std::uint64_t recovered_count_ = 0;
-  const char* last_recovery_rung_ = "";  // stable literal from the engine
-  std::size_t last_recovery_iteration_ = 0;
+  // Latest check, ETA and recovery surface (solve thread only).
+  StatusSnapshot snap_;
   // Latest rendered line, shared with the /statusz handler threads.
   mutable std::mutex latest_mu_;
   std::string latest_json_;

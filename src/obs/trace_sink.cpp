@@ -1,5 +1,7 @@
 #include "obs/trace_sink.hpp"
 
+#include <ostream>
+
 #include "obs/json_export.hpp"
 #include "support/check.hpp"
 #include "support/failpoint.hpp"
@@ -57,12 +59,19 @@ void JsonlTraceSink::WriteLine(const std::string& line) {
   ++events_written_;
 }
 
-void JsonlTraceSink::OnCheck(const IterationEvent& ev) {
-  WriteLine(ToJsonLine(ev));
-}
-
-void JsonlTraceSink::OnOuterStep(const OuterStepEvent& ev) {
-  WriteLine(ToJsonLine(ev));
+void ProgressPrinter::OnCheck(const IterationEvent& ev) {
+  out_ << prefix_ << ": iter=" << ev.iteration << " residual=";
+  if (ev.measure_defined) {
+    out_ << ev.measure;
+  } else {
+    out_ << "n/a";
+  }
+  if (phase_seconds_)
+    out_ << " row_s=" << ev.row_phase_seconds
+         << " col_s=" << ev.col_phase_seconds
+         << " check_s=" << ev.check_phase_seconds;
+  if (ev.converged) out_ << " (converged)";
+  out_ << '\n';
 }
 
 }  // namespace sea::obs

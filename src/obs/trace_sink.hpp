@@ -1,53 +1,25 @@
-// Structured run traces.
+// Per-check text streams: the structured JSONL run trace, and the
+// human-readable progress lines of sea_solve --progress and the benches.
 //
-// A TraceSink receives one event per convergence check of the shared
-// iteration engine (core/iteration_engine.hpp) and one event per projection
-// step of general SEA's outer loop (core/general_sea.hpp). It layers
-// *beside* the existing ExecutionTrace machinery (SeaOptions::record_trace
-// feeds the schedule simulator with per-task operation counts); the sink
-// instead captures the convergence trajectory and phase accounting in a
-// diffable, append-only format for cross-PR analysis.
-//
-// Sinks are invoked from the solve thread only — between parallel regions,
-// never inside one — so implementations need no locking. Attach via
-// SeaOptions::trace_sink; a null sink costs nothing.
-//
-// JSONL event schema (version 1, append-only; see docs/OBSERVABILITY.md):
-//   check {"schema":1,"type":"check","iter":..,"measure":..,
-//          "measure_defined":..,"converged":..,"checks_compared":..,
-//          "row_seconds":..,"col_seconds":..,"check_seconds":..,
-//          "flops_delta":..,"comparisons_delta":..,"breakpoints_delta":..,
-//          "flops_total":..,"comparisons_total":..,"breakpoints_total":..}
-//   outer {"schema":1,"type":"outer","iter":..,"change":..,"converged":..,
-//          "inner_iterations":..,"inner_iterations_total":..,
-//          "linearize_seconds":..}
+// Both are solve observers (core/solve_observer.hpp) writing one line per
+// engine check; the trace also writes one per general-SEA projection step.
+// The trace layers *beside* the ExecutionTrace machinery
+// (SeaOptions::record_trace feeds the schedule simulator); it captures the
+// convergence trajectory and phase accounting in a diffable, append-only
+// format whose `check` and `outer` lines docs/OBSERVABILITY.md specifies
+// ("Trace JSONL schema").
 #pragma once
 
 #include <cstddef>
 #include <fstream>
+#include <iosfwd>
 #include <string>
+#include <utility>
 
 #include "core/options.hpp"
+#include "core/solve_observer.hpp"
 
 namespace sea::obs {
-
-// One projection step of general SEA (paper Section 3.2, Figure 4).
-struct OuterStepEvent {
-  std::size_t outer_iteration = 0;
-  double change = 0.0;  // max |x^t - x^{t-1}| after this step
-  bool converged = false;
-  std::size_t inner_iterations = 0;        // this step's inner solve
-  std::size_t inner_iterations_total = 0;  // cumulative across steps
-  double linearize_seconds = 0.0;          // cumulative matvec-phase wall
-};
-
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void OnCheck(const IterationEvent& ev) = 0;
-  virtual void OnOuterStep(const OuterStepEvent& ev) = 0;
-  virtual void Flush() {}
-};
 
 // Renders an event as a single-line JSON object (no trailing newline) —
 // the serialization JsonlTraceSink writes, exposed for tests and tools.
@@ -62,13 +34,17 @@ std::string ToJsonLine(const OuterStepEvent& ev);
 // the sink stops writing, write_failed() reports the condition, and
 // events_written() counts only the lines that actually reached the stream.
 // A trace is telemetry — losing it must never lose the solve.
-class JsonlTraceSink : public TraceSink {
+class JsonlTraceSink : public SolveObserver {
  public:
   explicit JsonlTraceSink(const std::string& path);
 
-  void OnCheck(const IterationEvent& ev) override;
-  void OnOuterStep(const OuterStepEvent& ev) override;
-  void Flush() override { out_.flush(); }
+  void OnCheck(const IterationEvent& ev) override {
+    WriteLine(ToJsonLine(ev));
+  }
+  void OnOuterStep(const OuterStepEvent& ev) override {
+    WriteLine(ToJsonLine(ev));
+  }
+  void Flush() { out_.flush(); }
 
   std::size_t events_written() const { return events_written_; }
   bool write_failed() const { return write_failed_; }
@@ -79,6 +55,24 @@ class JsonlTraceSink : public TraceSink {
   std::ofstream out_;
   std::size_t events_written_ = 0;
   bool write_failed_ = false;
+};
+
+// Writes one "<prefix>: iter=.. residual=..[ (converged)]" line per check
+// to `out`; "residual=n/a" when the measure has no value yet. With
+// phase_seconds the cumulative row/column/check phase times follow the
+// residual as row_s=.. col_s=.. check_s=...
+class ProgressPrinter : public SolveObserver {
+ public:
+  ProgressPrinter(std::ostream& out, std::string prefix,
+                  bool phase_seconds = false)
+      : out_(out), prefix_(std::move(prefix)), phase_seconds_(phase_seconds) {}
+
+  void OnCheck(const IterationEvent& ev) override;
+
+ private:
+  std::ostream& out_;
+  std::string prefix_;
+  bool phase_seconds_;
 };
 
 }  // namespace sea::obs

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <exception>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -66,7 +67,6 @@ SeaOptions SolveService::BuildOptions(const SolveRequest& request) const {
           ? limits_.max_time_budget_seconds
           : std::min(request.time_budget_seconds,
                      limits_.max_time_budget_seconds);
-  opts.metrics = metrics_;
   opts.cancel = limits_.cancel;
   return opts;
 }
@@ -117,7 +117,9 @@ ServeOutcome SolveService::Handle(const SolveRequest& request,
     }
 
     if (!served) {
-      const SeaOptions opts = BuildOptions(request);
+      SeaOptions opts = BuildOptions(request);
+      std::optional<obs::SolveMetrics> solve_metrics;
+      if (metrics_) opts.observers.push_back(&solve_metrics.emplace(*metrics_));
       DiagonalSea solver(p);
       DiagonalSeaRun run;
       if (hit) {

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "check_callback.hpp"
 #include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
 #include "parallel/thread_pool.hpp"
@@ -412,9 +413,10 @@ TEST(CheckpointResume, CancelMidRunLeavesResumableCheckpoint) {
   interrupted.checkpoint = &writer;
   interrupted.cancel = &cancel;
   const std::size_t stop_at = ref.result.iterations / 2;
-  interrupted.progress = [&](const IterationEvent& ev) {
+  CheckCallback on_check([&](const IterationEvent& ev) {
     if (ev.iteration >= stop_at) cancel.Cancel();
-  };
+  });
+  interrupted.observers = {&on_check};
   const auto partial = SolveDiagonal(p, interrupted);
   EXPECT_EQ(partial.result.status, SolveStatus::kCancelled);
   EXPECT_EQ(writer.writes(), 1u);

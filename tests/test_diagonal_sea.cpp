@@ -3,6 +3,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "check_callback.hpp"
 #include "baselines/reference_solvers.hpp"
 #include "core/diagonal_sea.hpp"
 #include "parallel/thread_pool.hpp"
@@ -250,7 +251,9 @@ TEST(DiagonalSea, ProgressCallbackFiresOnCheckIterationsOnly) {
   SeaOptions o = TightOptions();
   o.check_every = 4;
   std::vector<IterationEvent> events;
-  o.progress = [&](const IterationEvent& ev) { events.push_back(ev); };
+  CheckCallback on_check(
+      [&](const IterationEvent& ev) { events.push_back(ev); });
+  o.observers = {&on_check};
   const auto run = SolveDiagonal(p, o);
   ASSERT_TRUE(run.result.converged());
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "check_callback.hpp"
 #include "core/checkpoint.hpp"
 #include "core/diagonal_sea.hpp"
 #include "core/solve_status.hpp"
@@ -198,7 +199,7 @@ TEST_F(FaultTest, TraceWriteFailureDoesNotAbortSolve) {
       ::testing::TempDir() + "/fault_trace.jsonl";
   obs::JsonlTraceSink sink(path);
   SeaOptions o = TightOptions();
-  o.trace_sink = &sink;
+  o.observers = {&sink};
   fail::Arm("sea.obs.trace_write", 2);  // first event lands, second fails
   const auto run = SolveDiagonal(p, o);
   EXPECT_TRUE(run.result.converged());
@@ -260,7 +261,7 @@ TEST_F(FaultTest, StalledSolveDumpsPostmortem) {
   const std::string path = ::testing::TempDir() + "/postmortem_stall.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers = {&recorder};
   const auto run = SolveDiagonal(p, o);
   EXPECT_EQ(run.result.status, SolveStatus::kStalled);
   EXPECT_TRUE(recorder.dumped());
@@ -276,7 +277,7 @@ TEST_F(FaultTest, BreakdownDumpsPostmortem) {
       ::testing::TempDir() + "/postmortem_breakdown.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers = {&recorder};
   const auto run = SolveDiagonal(p, o);
   EXPECT_EQ(run.result.status, SolveStatus::kNumericalBreakdown);
   EXPECT_TRUE(recorder.dumped());
@@ -288,16 +289,16 @@ TEST_F(FaultTest, CancelledSolveDumpsPostmortem) {
   CancelToken cancel;
   SeaOptions o = TightOptions();
   o.cancel = &cancel;
-  // Cancel mid-run from the progress callback; the engine observes it at
-  // the next check-iteration poll.
-  o.progress = [&cancel](const IterationEvent& ev) {
+  // Cancel mid-run from a check observer; the engine observes it at the
+  // next check-iteration poll.
+  CheckCallback cancel_mid_run([&cancel](const IterationEvent& ev) {
     if (ev.iteration >= 2) cancel.Cancel();
-  };
+  });
   obs::FlightRecorder recorder;
   const std::string path = ::testing::TempDir() + "/postmortem_cancel.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers = {&cancel_mid_run, &recorder};
   const auto run = SolveDiagonal(p, o);
   EXPECT_EQ(run.result.status, SolveStatus::kCancelled);
   EXPECT_TRUE(recorder.dumped());
@@ -313,7 +314,7 @@ TEST_F(FaultTest, BudgetExceededDumpsPostmortem) {
   const std::string path = ::testing::TempDir() + "/postmortem_budget.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers = {&recorder};
   const auto run = SolveDiagonal(p, o);
   EXPECT_EQ(run.result.status, SolveStatus::kTimeBudgetExceeded);
   EXPECT_TRUE(recorder.dumped());
@@ -327,7 +328,7 @@ TEST_F(FaultTest, ConvergedSolveDoesNotDump) {
   const std::string path = ::testing::TempDir() + "/postmortem_none.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers = {&recorder};
   const auto run = SolveDiagonal(p, o);
   EXPECT_TRUE(run.result.converged());
   EXPECT_FALSE(recorder.dumped());
@@ -458,14 +459,13 @@ TEST_F(FaultTest, RecoveryEmitsLiveTelemetry) {
   const auto p = SmallFixedProblem();
   SeaOptions o = RecoverOptions();
   obs::MetricsRegistry metrics;
-  o.metrics = &metrics;
+  obs::SolveMetrics solve_metrics(metrics);
   obs::FlightRecorder recorder;
-  o.flight_recorder = &recorder;
   const std::string status_path =
       ::testing::TempDir() + "/recovery_status.json";
   obs::StatusFileWriter status(status_path, o.epsilon,
                                /*min_interval_seconds=*/0.0);
-  o.status_file = &status;
+  o.observers = {&solve_metrics, &recorder, &status};
   fail::Arm("sea.engine.poison_measure", 3, 1);
   const auto run = SolveDiagonal(p, o);
   EXPECT_TRUE(run.result.converged());
@@ -606,7 +606,7 @@ TEST_F(FaultTest, PostmortemWriteFailureDegradesNotTheResult) {
   const std::string path = ::testing::TempDir() + "/postmortem_fail.jsonl";
   std::remove(path.c_str());
   recorder.SetDumpPath(path);
-  o.flight_recorder = &recorder;
+  o.observers = {&recorder};
   const auto run = SolveDiagonal(p, o);
   // The solve result is untouched by the failed dump, and no partial file
   // is published (the temp never got renamed into place).

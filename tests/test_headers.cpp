@@ -13,6 +13,7 @@
 #include "core/multiplier_rebalance.hpp"
 #include "core/options.hpp"
 #include "core/result.hpp"
+#include "core/solve_observer.hpp"
 #include "core/stopping.hpp"
 #include "datasets/contingency.hpp"
 #include "datasets/general_dense.hpp"

@@ -323,8 +323,8 @@ TEST(TelemetryPlane, ConcurrentScrapesDuringLiveSolve) {
   opts.criterion = StopCriterion::kResidualAbs;
   opts.max_iterations = 20000;
   opts.stall_checks = 0;  // run the full iteration budget
-  opts.metrics = &metrics;
-  opts.status_file = &status;
+  obs::SolveMetrics solve_metrics(metrics);
+  opts.observers = {&solve_metrics, &status};
 
   std::atomic<bool> solving{true};
   DiagonalSeaRun run;
@@ -367,13 +367,15 @@ TEST(TelemetryPlane, SamplerDoesNotPerturbSolverResults) {
   opts.max_iterations = 20000;
 
   obs::MetricsRegistry m1;
+  obs::SolveMetrics sm1(m1);
   SeaOptions o1 = opts;
-  o1.metrics = &m1;
+  o1.observers = {&sm1};
   const auto without = SolveDiagonal(problem, o1);
 
   obs::MetricsRegistry m2;
+  obs::SolveMetrics sm2(m2);
   SeaOptions o2 = opts;
-  o2.metrics = &m2;
+  o2.observers = {&sm2};
   obs::SamplerOptions fast;
   fast.interval_ms = 1.0;
   obs::MetricsSampler sampler(&m2, fast);

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "check_callback.hpp"
 #include "core/diagonal_sea.hpp"
 #include "core/general_sea.hpp"
 #include "core/stopping.hpp"
@@ -33,6 +34,7 @@
 #include "parallel/thread_pool.hpp"
 #include "spe/spe_generator.hpp"
 #include "sparse/sparse_sea.hpp"
+#include "support/cancel.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
@@ -167,7 +169,7 @@ TEST(TraceReader, RoundTripsSinkEvents) {
   EXPECT_EQ(parsed.Number("flops_delta"), 100.0);
   EXPECT_EQ(parsed.Number("flops_total"), 400.0);
 
-  obs::OuterStepEvent oev;
+  OuterStepEvent oev;
   oev.outer_iteration = 3;
   oev.change = 0.25;
   oev.inner_iterations = 12;
@@ -196,15 +198,17 @@ TEST(TraceReader, RejectsMalformedLines) {
 
 // ------------------------------------- engine contract (satellite task 3)
 
-// Records everything a sink sees, for asserting the event contract.
-class RecordingSink : public obs::TraceSink {
+// Records everything an observer sees, for asserting the event contract.
+class RecordingSink : public SolveObserver {
  public:
   std::vector<IterationEvent> checks;
-  std::vector<obs::OuterStepEvent> outers;
+  std::vector<OuterStepEvent> outers;
+  std::vector<SolveEnd> ends;
   void OnCheck(const IterationEvent& ev) override { checks.push_back(ev); }
-  void OnOuterStep(const obs::OuterStepEvent& ev) override {
+  void OnOuterStep(const OuterStepEvent& ev) override {
     outers.push_back(ev);
   }
+  void OnEnd(const SolveEnd& end) override { ends.push_back(end); }
 };
 
 TEST(TraceContract, EventsFireOnCheckIterationsOnly) {
@@ -213,7 +217,7 @@ TEST(TraceContract, EventsFireOnCheckIterationsOnly) {
   SeaOptions opts;
   opts.epsilon = 1e-8;
   opts.check_every = 3;
-  opts.trace_sink = &sink;
+  opts.observers = {&sink};
   const auto run = SolveDiagonal(problem, opts);
 
   ASSERT_FALSE(sink.checks.empty());
@@ -236,7 +240,7 @@ TEST(TraceContract, FirstXChangeCheckIsUndefined) {
   SeaOptions opts;
   opts.epsilon = 1e-6;
   opts.criterion = StopCriterion::kXChange;
-  opts.trace_sink = &sink;
+  opts.observers = {&sink};
   SolveDiagonal(problem, opts);
 
   ASSERT_GE(sink.checks.size(), 2u);
@@ -253,7 +257,7 @@ TEST(TraceContract, CumulativePhaseTimesAndOpsAreMonotone) {
   RecordingSink sink;
   SeaOptions opts;
   opts.epsilon = 1e-9;
-  opts.trace_sink = &sink;
+  opts.observers = {&sink};
   SolveDiagonal(problem, opts);
 
   ASSERT_GE(sink.checks.size(), 2u);
@@ -277,13 +281,13 @@ TEST(TraceContract, SinkAndProgressSeeTheSameEvents) {
   const auto problem = SmallFixedProblem(6, 6);
   RecordingSink sink;
   std::vector<IterationEvent> progress_events;
+  CheckCallback progress([&](const IterationEvent& ev) {
+    progress_events.push_back(ev);
+  });
   SeaOptions opts;
   opts.epsilon = 1e-7;
   opts.check_every = 2;
-  opts.trace_sink = &sink;
-  opts.progress = [&](const IterationEvent& ev) {
-    progress_events.push_back(ev);
-  };
+  opts.observers = {&sink, &progress};
   SolveDiagonal(problem, opts);
 
   ASSERT_EQ(progress_events.size(), sink.checks.size());
@@ -298,10 +302,11 @@ TEST(TraceContract, SinkAndProgressSeeTheSameEvents) {
 TEST(TraceContract, EngineFillsMetricsRegistry) {
   const auto problem = SmallFixedProblem(6, 8);
   obs::MetricsRegistry metrics;
+  obs::SolveMetrics solve_metrics(metrics);
   SeaOptions opts;
   opts.epsilon = 1e-8;
   opts.check_every = 2;
-  opts.metrics = &metrics;
+  opts.observers = {&solve_metrics};
   const auto run = SolveDiagonal(problem, opts);
 
   const auto snap = metrics.Snapshot();
@@ -327,7 +332,7 @@ TEST(TraceContract, GeneralSeaEmitsOuterEvents) {
   RecordingSink sink;
   GeneralSeaOptions opts;
   opts.outer_epsilon = 1e-4;
-  opts.inner.trace_sink = &sink;
+  opts.inner.observers = {&sink};
   const auto run = SolveGeneral(problem, opts);
 
   ASSERT_EQ(sink.outers.size(), run.result.outer_iterations);
@@ -342,6 +347,64 @@ TEST(TraceContract, GeneralSeaEmitsOuterEvents) {
               sink.outers[k - 1].inner_iterations_total);
 }
 
+// A cancel between projection steps ends general SEA as kCancelled. Its
+// outer end reaches every observer after the last inner end, so the status
+// file, the postmortem and the metrics carry the outer status.
+TEST(TraceContract, GeneralSeaOuterEndReachesObservers) {
+  Rng rng(7);
+  const auto problem = datasets::MakeGeneralDense(4, 4, rng);
+  CancelToken cancel;
+  class CancelAfterFirstStep : public SolveObserver {
+   public:
+    explicit CancelAfterFirstStep(CancelToken& c) : cancel_(c) {}
+    void OnOuterStep(const OuterStepEvent& ev) override {
+      if (ev.outer_iteration == 1) cancel_.Cancel();
+    }
+
+   private:
+    CancelToken& cancel_;
+  } trip(cancel);
+  RecordingSink sink;
+  const std::string status_path = TempPath("general_outer_status.json");
+  const std::string postmortem_path = TempPath("general_outer_pm.jsonl");
+  std::remove(postmortem_path.c_str());
+  obs::StatusFileWriter status(status_path, 1e-4,
+                               /*min_interval_seconds=*/0.0);
+  obs::FlightRecorder recorder;
+  recorder.SetDumpPath(postmortem_path);
+  obs::MetricsRegistry metrics;
+  obs::SolveMetrics solve_metrics(metrics);
+  GeneralSeaOptions opts;
+  opts.outer_epsilon = 1e-4;
+  opts.inner.cancel = &cancel;
+  opts.inner.observers = {&trip, &sink, &status, &recorder, &solve_metrics};
+  const auto run = SolveGeneral(problem, opts);
+
+  ASSERT_EQ(run.result.status, SolveStatus::kCancelled);
+  EXPECT_EQ(run.result.outer_iterations, 1u);
+  // One inner end (converged), then the outer end.
+  ASSERT_EQ(sink.ends.size(), 2u);
+  EXPECT_EQ(sink.ends[0].status, SolveStatus::kConverged);
+  EXPECT_NE(sink.ends[0].engine, nullptr);
+  EXPECT_EQ(sink.ends[1].status, SolveStatus::kCancelled);
+  EXPECT_NE(sink.ends[1].general, nullptr);
+  EXPECT_EQ(sink.ends[1].iterations, 1u);
+
+  const auto snap = obs::ParseTraceLine(status.LatestJson());
+  EXPECT_EQ(snap.strings.at("phase"), "terminated");
+  EXPECT_EQ(snap.strings.at("status"), "cancelled");
+  ASSERT_TRUE(recorder.dumped());
+  const auto postmortem = obs::ReadTraceJsonl(postmortem_path);
+  ASSERT_FALSE(postmortem.empty());
+  EXPECT_EQ(postmortem.front().strings.at("status"), "cancelled");
+  const auto m = metrics.Snapshot();
+  EXPECT_EQ(m.CounterValue("sea.solves"), 1u);
+  EXPECT_EQ(m.CounterValue("sea.general.outer_iterations"), 1u);
+  EXPECT_EQ(m.GaugeValue("sea.general.converged"), 0.0);
+  std::remove(status_path.c_str());
+  std::remove(postmortem_path.c_str());
+}
+
 TEST(TraceContract, JsonlSinkWritesParseableFile) {
   const std::string path = TempPath("sea_test_trace.jsonl");
   std::remove(path.c_str());
@@ -350,7 +413,7 @@ TEST(TraceContract, JsonlSinkWritesParseableFile) {
     obs::JsonlTraceSink sink(path);
     SeaOptions opts;
     opts.epsilon = 1e-7;
-    opts.trace_sink = &sink;
+    opts.observers = {&sink};
     SolveDiagonal(problem, opts);
     EXPECT_GT(sink.events_written(), 0u);
   }
@@ -906,7 +969,7 @@ TEST(FlightRecorder, SurvivesAcrossChainedSolves) {
   const auto p = SmallFixedProblem(6, 7);
   obs::FlightRecorder rec;
   SeaOptions o;
-  o.flight_recorder = &rec;
+  o.observers = {&rec};
   const auto first = SolveDiagonal(p, o);
   ASSERT_TRUE(first.result.converged());
   const std::size_t after_first = rec.recorded();
@@ -946,7 +1009,7 @@ TEST(StatusFile, WritesParseableSnapshotsWithEta) {
     // measure 1e-3 -> epsilon 1e-6 at one decade per ten iterations: 30.
     EXPECT_NEAR(snap.Number("eta_iterations"), 30.0, 1e-6);
   }
-  writer.OnTermination(SolveStatus::kConverged);
+  writer.OnEnd(SolveEnd{.status = SolveStatus::kConverged});
   {
     std::ifstream f(path);
     std::string line;
@@ -965,7 +1028,7 @@ TEST(StatusFile, EngineWritesFinalSnapshot) {
   std::remove(path.c_str());
   obs::StatusFileWriter writer(path, 1e-6);
   SeaOptions o;
-  o.status_file = &writer;
+  o.observers = {&writer};
   const auto run = SolveDiagonal(p, o);
   ASSERT_TRUE(run.result.converged());
   std::ifstream f(path);
@@ -1085,8 +1148,9 @@ TEST(Metrics, PrometheusAndJsonSeeTheSameRegistry) {
   const auto p = SmallFixedProblem(8, 9);
   obs::MetricsRegistry reg;
   obs::MarketAttribution attr;
+  obs::SolveMetrics solve_metrics(reg);
   SeaOptions o;
-  o.metrics = &reg;
+  o.observers = {&solve_metrics};
   o.attribution = &attr;
   const auto run = SolveDiagonal(p, o);
   ASSERT_TRUE(run.result.converged());
@@ -1171,7 +1235,7 @@ TEST(StatusFile, PathlessWriterServesLatestJsonWithoutFileWrites) {
   EXPECT_EQ(ev1.strings.at("phase"), "iterating");
   EXPECT_EQ(ev1.Number("iter"), 4.0);
 
-  writer.OnTermination(SolveStatus::kConverged);
+  writer.OnEnd(SolveEnd{.status = SolveStatus::kConverged});
   auto ev2 = obs::ParseTraceLine(writer.LatestJson());
   EXPECT_EQ(ev2.strings.at("phase"), "terminated");
   EXPECT_EQ(ev2.strings.at("status"), "converged");

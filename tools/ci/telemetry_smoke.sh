@@ -15,11 +15,19 @@ BUILD_DIR="${1:-build}"
   --schedule cost --sort reuse --threads 2 \
   --metrics-json metrics.json --trace-jsonl trace.jsonl \
   --attribution-json attr.jsonl --status-file status.json \
-  --metrics-prom metrics.prom
+  --metrics-prom metrics.prom --progress | tee solve.out
 python3 -m json.tool metrics.json > /dev/null
 python3 -m json.tool status.json > /dev/null
 python3 -c "import json,sys; [json.loads(l) for l in open('trace.jsonl')]"
 grep -q '_total ' metrics.prom
+# The progress printer and the trace sink observe one event stream: one
+# progress line per trace check event.
+progress_lines=$(grep -c '^progress: ' solve.out)
+check_lines=$(grep -c '"type":"check"' trace.jsonl)
+if [ "$progress_lines" -ne "$check_lines" ]; then
+  echo "progress lines ($progress_lines) != trace check events ($check_lines)" >&2
+  exit 1
+fi
 "$BUILD_DIR"/tools/trace_report trace.jsonl
 "$BUILD_DIR"/tools/market_report attr.jsonl --top 3
 "$BUILD_DIR"/bench/table1_diagonal_large --quick --json BENCH_table1.json
